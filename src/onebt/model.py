@@ -16,7 +16,7 @@ import numpy as np
 
 from .tensor import (
     Tensor, Parameter, ShapeError, ConfigError,
-    matmul, add, mul, scale, gelu, softmax_rows, layer_norm,
+    matmul, linear, add, mul, scale, gelu, softmax_rows, layer_norm,
     mean_axis, dropout, reshape, swap_axes,
 )
 
@@ -173,10 +173,7 @@ class Linear:
         self.bias = reg.bias(f"{name}.bias", fan_out) if use_bias else None
 
     def __call__(self, t):
-        out = matmul(t, self.weight.tensor)
-        if self.bias is not None:
-            out = add(out, self.bias.tensor)
-        return out
+        return linear(t, self.weight.tensor, self.bias.tensor if self.bias is not None else None)
 
 
 class LayerNorm:
@@ -202,7 +199,6 @@ class Attention:
 
     def _split(self, t):
         # [..., n, h*hd] -> [..., h, n, hd]
-        n = t.shape[-2]
         t = reshape(t, t.shape[:-1] + (self.heads, self.head_dim))
         return swap_axes(t, -3, -2)
 

@@ -2,8 +2,14 @@
 
 A Tensor wraps an ndarray plus an optional graph node recording how it was
 produced. Ops build the graph eagerly; backward() walks it once in reverse
-topological order and accumulates into .grad. Repeated backward calls keep
-accumulating, so callers zero grads explicitly between steps.
+topological order and accumulates into .grad of the leaves only (tensors no
+op produced, such as parameters and inputs); gradients of intermediates live
+only for the pass. Repeated backward calls keep accumulating, so callers
+zero grads explicitly between steps.
+
+linear() is the fused projection op: x @ weight + bias with x's leading
+axes folded into one 2-D GEMM, forward and backward. matmul() is the
+general broadcasting batched product.
 
 Float32 is the working precision; pass float64 arrays in (e.g. for finite
 difference checks) and every op stays in 64-bit.
@@ -16,7 +22,7 @@ from scipy.special import erf
 
 __all__ = [
     "Tensor", "Parameter", "ShapeError", "ConfigError", "NumericError",
-    "matmul", "add", "mul", "scale", "gelu", "softmax_rows", "layer_norm",
+    "matmul", "linear", "add", "mul", "scale", "gelu", "softmax_rows", "layer_norm",
     "mean_axis", "dropout", "concat_last_axis", "reshape", "swap_axes",
     "cross_entropy_label_smoothed", "backward",
 ]
@@ -125,6 +131,7 @@ def _make(data, inputs, backward_fn):
 
 def _accumulate(tensor, grad):
     if tensor.grad is None:
+        # a pass-local gradient may alias another gradient or a forward buffer
         tensor.grad = grad.copy()
     else:
         tensor.grad = tensor.grad + grad
@@ -175,6 +182,37 @@ def matmul(a, b):
         return ga, gb
 
     return _make(out, (a, b), bwd)
+
+
+def linear(x, weight, bias=None):
+    """x @ weight + bias over x's last axis, as one 2-D GEMM on the folded leading axes.
+
+    x: [..., k]; weight: [k, n]; bias: [n] or None. Returns [..., n].
+    """
+    x, weight = _as_tensor(x), _as_tensor(weight)
+    if weight.ndim != 2 or x.ndim < 1 or x.shape[-1] != weight.shape[0]:
+        raise ShapeError(f"linear: need x [..., k] and weight [k, n], got {x.shape} x {weight.shape}")
+    k, n = weight.shape
+    inputs = (x, weight)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != (n,):
+            raise ShapeError(f"linear: bias must have shape ({n},), got {bias.shape}")
+        inputs += (bias,)
+    x2 = x.data.reshape(-1, k)
+    out = x2 @ weight.data
+    if bias is not None:
+        out += bias.data
+
+    def bwd(g):
+        g2 = g.reshape(-1, n)
+        gx = (g2 @ weight.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = x2.T @ g2 if weight.requires_grad else None
+        if bias is None:
+            return gx, gw
+        return gx, gw, (g2.sum(axis=0) if bias.requires_grad else None)
+
+    return _make(out.reshape(x.shape[:-1] + (n,)), inputs, bwd)
 
 
 def add(a, b):
@@ -256,10 +294,9 @@ def layer_norm(x, gain, bias, eps=1e-5):
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
     out = xhat * gain.data + bias.data
 
     def bwd(g):
@@ -346,7 +383,7 @@ def reshape(x, shape):
 
 def swap_axes(x, axis1, axis2):
     x = _as_tensor(x)
-    out = np.swapaxes(x.data, axis1, axis2).copy()
+    out = np.swapaxes(x.data, axis1, axis2)      # a view; no op writes into its input
 
     def bwd(g):
         return (np.swapaxes(g, axis1, axis2) if x.requires_grad else None,)
@@ -394,7 +431,7 @@ def cross_entropy_label_smoothed(logits, labels, smoothing=0.0):
 # backward pass
 
 def backward(loss):
-    """Accumulate d(loss)/d(leaf) into .grad over the graph below loss."""
+    """Accumulate d(loss)/d(leaf) into the .grad of every leaf below loss."""
     if loss.data.size != 1:
         raise ShapeError(f"backward: root must be a scalar, got shape {loss.shape}")
     if not loss.requires_grad:
@@ -419,14 +456,15 @@ def backward(loss):
                     stack.append((inp, False))
 
     # the pass-local gradients live in their own map so that repeated
-    # backward calls each contribute exactly one d(loss)/d(tensor)
+    # backward calls each contribute exactly one d(loss)/d(leaf); an
+    # intermediate's gradient is dropped as soon as its op has consumed it
     local = {id(loss): np.ones_like(loss.data)}
     for t in reversed(order):
         g = local.pop(id(t), None)
         if g is None:
             continue
-        _accumulate(t, g)
         if t.node is None:
+            _accumulate(t, g)
             continue
         for inp, gi in zip(t.node.inputs, t.node.backward_fn(g)):
             if gi is None:

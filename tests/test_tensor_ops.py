@@ -8,7 +8,7 @@ from scipy.special import erf
 from scipy.special import softmax as sp_softmax
 
 from onebt.tensor import (Tensor, ShapeError, ConfigError, NumericError,
-                          matmul, add, mul, scale, gelu, softmax_rows,
+                          matmul, linear, add, mul, scale, gelu, softmax_rows,
                           layer_norm, mean_axis, dropout, concat_last_axis,
                           reshape, swap_axes, cross_entropy_label_smoothed,
                           backward)
@@ -60,6 +60,46 @@ def test_matmul_shape_errors():
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
     with pytest.raises(ShapeError):
         matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 1))))
+
+
+def test_linear_matches_matmul_add_float32(rng):
+    # the folded 2-D GEMM against the batched broadcast path it replaces
+    x = Tensor(rng.standard_normal((32, 16, 128)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((128, 512)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.standard_normal(512).astype(np.float32), requires_grad=True)
+    fast = linear(x, w, b)
+    slow = add(matmul(x, w), b)
+    assert fast.dtype == np.float32 and fast.shape == (32, 16, 512)
+    assert rel_err(fast.data, slow.data) < 1e-6
+    grads = []
+    for out in (fast, slow):
+        for t in (x, w, b):
+            t.zero_grad()
+        backward(mean_axis(reshape(out, (out.data.size, 1)), 0))
+        grads.append([t.grad for t in (x, w, b)])
+    for name, g_fast, g_slow in zip("xwb", *grads):
+        assert rel_err(g_fast, g_slow) < 1e-6, name
+
+
+def test_linear_shape_errors():
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError, match="linear"):
+        linear(x, Tensor(np.zeros(4)))                      # weight rank 1
+    with pytest.raises(ShapeError, match="linear"):
+        linear(x, Tensor(np.zeros((1, 4, 5))))              # weight rank 3
+    with pytest.raises(ShapeError, match="linear"):
+        linear(x, Tensor(np.zeros((3, 5))))                 # inner extent
+    with pytest.raises(ShapeError, match="bias"):
+        linear(x, Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError, match="bias"):
+        linear(x, Tensor(np.zeros((4, 5))), Tensor(np.zeros((1, 5))))
+
+
+def test_swap_axes_is_a_view(rng):
+    x = Tensor(rng.standard_normal((2, 3, 4)))
+    out = swap_axes(x, -3, -2)
+    assert np.shares_memory(out.data, x.data)
+    np.testing.assert_array_equal(out.data, x.data.swapaxes(-3, -2))
 
 
 def test_softmax_rows_values():
@@ -259,6 +299,39 @@ def test_grad_matmul_batched(rng):
         assert rel_err(g, fd) < TOL, f"wrt={wrt}"
 
 
+def test_grad_matmul_query_key_broadcast(rng):
+    # scores = q @ k^T with unbatched latents: a (1, m, hd) against b (B, 1, hd, n)
+    a, b = rng.standard_normal((1, 3, 4)), rng.standard_normal((2, 1, 4, 5))
+    for wrt in (0, 1):
+        g, fd = grad_of(matmul, (a, b), wrt)
+        assert g.shape == (a, b)[wrt].shape
+        assert rel_err(g, fd) < TOL, f"wrt={wrt}"
+
+
+def test_grad_matmul_swap_axes_view_operand(rng):
+    a, b = rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 5, 4))
+    assert not swap_axes(Tensor(b), -1, -2).data.flags.c_contiguous
+
+    def op(x, y):
+        return matmul(x, swap_axes(y, -1, -2))
+
+    for wrt in (0, 1):
+        g, fd = grad_of(op, (a, b), wrt)
+        assert rel_err(g, fd) < TOL, f"wrt={wrt}"
+
+
+@pytest.mark.parametrize("x_shape", [(4,), (3, 4), (2, 3, 4), (2, 2, 3, 4)])
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_grad_linear(rng, x_shape, use_bias):
+    args = (rng.standard_normal(x_shape), rng.standard_normal((4, 5)))
+    if use_bias:
+        args += (rng.standard_normal(5),)
+    for wrt in range(len(args)):
+        g, fd = grad_of(linear, args, wrt)
+        assert g.shape == args[wrt].shape
+        assert rel_err(g, fd) < TOL, f"wrt={wrt}"
+
+
 def test_grad_add_mul_broadcast(rng):
     a, b = rng.standard_normal((2, 3, 4)), rng.standard_normal(4)
     for op in (add, mul):
@@ -351,6 +424,42 @@ def test_reused_tensor_accumulates():
     loss = mean_axis(mean_axis(mul(t, t), 0), 0)   # d/dt t^2 = 2t
     backward(loss)
     assert abs(t.grad.item() - 6.0) < 1e-12
+
+
+def _graph_tensors(root):
+    seen, stack = {}, [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            if t.node is not None:
+                stack.extend(t.node.inputs)
+    return list(seen.values())
+
+
+def test_backward_writes_grads_on_leaves_only(rng):
+    x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    y = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+    b = Tensor(rng.standard_normal(6), requires_grad=True)
+    frozen = Tensor(rng.standard_normal((2, 6, 3)))
+    # add passes one gradient array to both x and y; the swap_axes views and
+    # reshape pass gradients that alias the upstream ones
+    h = linear(add(x, y), w, b)
+    h = reshape(add(swap_axes(h, -1, -2), frozen), (2, 18))
+    loss = mean_axis(mean_axis(h, 0), 0)
+    backward(loss)
+    tensors = _graph_tensors(loss)
+    ops = [t for t in tensors if t.node is not None]
+    leaves = [t for t in tensors if t.node is None and t.requires_grad]
+    assert ops and all(t.grad is None for t in ops)
+    assert {id(t) for t in leaves} == {id(x), id(y), id(w), id(b)}
+    assert frozen.grad is None
+    for t in leaves:
+        assert t.grad is not None and t.grad.shape == t.shape
+        others = [u.grad for u in leaves if u is not t] + [u.data for u in tensors]
+        assert not any(np.shares_memory(t.grad, o) for o in others)
+    np.testing.assert_array_equal(x.grad, y.grad)
 
 
 def test_no_grad_for_untracked_inputs(rng):
