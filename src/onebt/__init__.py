@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .tensor import (Tensor, Parameter, ShapeError, ConfigError,        # noqa: F401
                      NumericError, backward)
 from .model import ModelConfig, OneBlockTransformer, init_parameters   # noqa: F401
-from .cost import CostReport, cost_report, count_params, count_flops   # noqa: F401
+from .cost import CostReport, cost_report                               # noqa: F401
 from .train import TrainConfig, TrainLog, AdamW, cosine_lr, train      # noqa: F401
 from .data import (EegSample, DatasetManifest, SynthSpec, Task,        # noqa: F401
                    DataError, generate_synthetic, load_dataset,

@@ -174,16 +174,17 @@ def cmd_loso(args, argv):
     if not spec.out_dir:
         raise ConfigError("--out is required")
     manifest, samples = _require_data(spec)
+    jobs = _jobs(args)
     os.makedirs(spec.out_dir, exist_ok=True)
     folds, summary = run_loso(samples, spec.model, spec.train,
-                              task=spec.task, jobs=_jobs(args))
+                              task=spec.task, jobs=jobs)
     write_records(os.path.join(spec.out_dir, "folds.jsonl"), folds)
     with open(os.path.join(spec.out_dir, "summary.json"), "w") as f:
         json.dump(asdict(summary), f, indent=2, sort_keys=True)
         f.write("\n")
     _write_meta(spec.out_dir, "loso", spec, argv,
                 {"normalization": "per-channel z-score, train-fold statistics",
-                 "jobs": _jobs(args)})
+                 "jobs": jobs})
     table = render_table(
         ["task", "folds", "accuracy", "precision", "f1"],
         [[spec.task or "all", summary.n_folds,
@@ -237,8 +238,8 @@ def cmd_sweep(args, argv):
     if not spec.out_dir:
         raise ConfigError("--out is required")
     manifest, samples = _require_data(spec)
-    os.makedirs(spec.out_dir, exist_ok=True)
     jobs = _jobs(args)
+    os.makedirs(spec.out_dir, exist_ok=True)
 
     rows = []
     records = []

@@ -5,13 +5,20 @@ Parameter counts are exact and match runtime enumeration by construction
 in a matrix product as one FLOP, for a single forward window of shape
 (seq_len, input_channels); elementwise ops, norms, softmax and the
 tokenizer are excluded.
+
+FLOPs count the paper's evaluation order, in which cross-attention projects
+every token to keys and values. At run time `model.LatentCrossAttention`
+computes the same products in the latent-side order, which does fewer MACs
+when tokens far outnumber latents; the counts here, `onebt cost` and the
+pinned tables do not follow it. A time set against these counts (achieved
+GFLOP/s) is therefore paper-convention MACs per second.
 """
 
 from dataclasses import dataclass, field
 
 from .model import ModelConfig
 
-__all__ = ["CostReport", "count_params", "count_flops", "cost_report", "TABLE_PRESETS"]
+__all__ = ["CostReport", "cost_report", "TABLE_PRESETS"]
 
 FLOP_CONVENTION = "1 MAC = 1 FLOP; matmuls only (projections, attention scores/values, feed-forwards, head)"
 
@@ -78,16 +85,6 @@ def cost_report(cfg):
         gflops=round(flops / 1e9, 2),
         breakdown={"params": pb, "flops": fb},
     )
-
-
-def count_params(cfg):
-    """Alias of cost_report; the params fields are the exact closed form."""
-    return cost_report(cfg)
-
-
-def count_flops(cfg):
-    """Alias of cost_report; the flops fields follow the documented convention."""
-    return cost_report(cfg)
 
 
 def _cfg(num_latents, latent_dim, self_heads, cross_head_dim, self_head_dim, blocks):

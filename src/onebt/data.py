@@ -105,22 +105,44 @@ def save_dataset(path, samples, sample_rate_hz, channel_names, provenance=""):
     L, C = samples[0].signal.shape
     if len(channel_names) != C:
         raise DataError(f"{len(channel_names)} channel names for {C} channels")
+    raw_names = []
+    for name in channel_names:
+        try:
+            raw_names.append(name.encode("ascii"))
+        except UnicodeEncodeError:
+            raise DataError(f"channel name {name!r} is not ASCII") from None
+        if len(raw_names[-1]) > 255:
+            raise DataError(f"channel name {name!r} is longer than 255 bytes")
+    if not isinstance(sample_rate_hz, (int, np.integer)) or not 0 < sample_rate_hz < 2**32:
+        raise DataError(f"sample_rate_hz must be an integer in 1..2^32-1, got {sample_rate_hz!r}")
+    # every check runs before the file is opened, so a bad sample leaves no torn file
+    payloads = []
+    for i, s in enumerate(samples):
+        if s.signal.shape != (L, C):
+            raise DataError(f"sample {i} has shape {s.signal.shape}, expected {(L, C)}")
+        with np.errstate(over="ignore"):
+            payloads.append(np.ascontiguousarray(s.signal, dtype="<f4"))
+        if not np.all(np.isfinite(payloads[-1])):
+            raise DataError(f"sample {i} contains non-finite values (as float32)")
+        tags = (s.subject_id, s.task, s.label)
+        if not all(isinstance(v, (int, np.integer)) for v in tags):
+            raise DataError(f"sample {i} has subject_id, task, label = {tags}, expected integers")
+        if not 0 <= s.subject_id <= 0xFFFF:
+            raise DataError(f"sample {i} has subject_id={s.subject_id}, expected 0..65535")
+        if s.task not in (Task.IQ, Task.MATH, Task.GAME) or s.label not in (EASY, HARD):
+            raise DataError(f"sample {i} has task={s.task} label={s.label}, "
+                            f"expected task 0..2 and label 0..1")
     manifest = _build_manifest(samples, sample_rate_hz, channel_names, provenance)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<6I", VERSION, len(samples), L, C,
                             sample_rate_hz, manifest.n_subjects))
-        for name in channel_names:
-            raw = name.encode("ascii")
+        for raw in raw_names:
             f.write(struct.pack("<B", len(raw)))
             f.write(raw)
-        for i, s in enumerate(samples):
-            if s.signal.shape != (L, C):
-                raise DataError(f"sample {i} has shape {s.signal.shape}, expected {(L, C)}")
-            if not np.all(np.isfinite(s.signal)):
-                raise DataError(f"sample {i} contains non-finite values")
+        for s, payload in zip(samples, payloads):
             f.write(struct.pack("<HBB", s.subject_id, s.task, s.label))
-            f.write(np.ascontiguousarray(s.signal, dtype="<f4").tobytes())
+            f.write(payload.tobytes())
     _write_sidecar(path, manifest)
     return manifest
 

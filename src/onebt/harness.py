@@ -15,21 +15,27 @@ import numpy as np
 from .data import Task, channel_stats, loso_splits, samples_to_arrays
 from .metrics import aggregate, fold_result
 from .model import init_parameters
+from .tensor import ConfigError
 from .train import evaluate_confusion, train
 
 __all__ = ["fold_seed", "run_fold", "run_loso", "thread_cap"]
 
 
 def thread_cap():
-    """Optional cap on worker processes from the ONEBT_THREADS variable."""
+    """Optional cap on worker processes from the ONEBT_THREADS variable.
+
+    Unset or empty means no cap; anything but an integer >= 1 is a ConfigError.
+    """
     raw = os.environ.get("ONEBT_THREADS")
     if not raw:
         return None
     try:
         cap = int(raw)
     except ValueError:
-        return None
-    return max(1, cap)
+        raise ConfigError(f"ONEBT_THREADS must be an integer >= 1, got {raw!r}") from None
+    if cap < 1:
+        raise ConfigError(f"ONEBT_THREADS must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 def fold_seed(base_seed, fold_id):

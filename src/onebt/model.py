@@ -10,6 +10,7 @@ All blocks are pre-norm with residual connections; feed-forwards are gated
 (two input projections, one passed through gelu, multiplied elementwise).
 """
 
+import functools
 from dataclasses import dataclass, fields, asdict
 
 import numpy as np
@@ -124,9 +125,19 @@ def tokenize(x, cfg):
             f"tokenize: window is {(L, C)}, config expects "
             f"{(cfg.seq_len, cfg.input_channels)}")
     dtype = arr.dtype if arr.dtype == np.float64 else np.float32
-    pos = fourier_encode(position_grid(L), frequency_bands(cfg.num_freq_bands, cfg.max_freq))
-    pos = np.broadcast_to(pos, arr.shape[:-1] + pos.shape[-1:])
-    return Tensor(np.concatenate([arr, pos], axis=-1).astype(dtype))
+    pos = _position_features(L, cfg.num_freq_bands, cfg.max_freq)
+    out = np.empty(arr.shape[:-1] + (C + pos.shape[-1],), dtype=dtype)
+    out[..., :C] = arr
+    out[..., C:] = pos
+    return Tensor(out)
+
+
+@functools.lru_cache(maxsize=8)
+def _position_features(seq_len, num_freq_bands, max_freq):
+    """fourier_encode of the position grid, [seq_len, 2K + 1], shared read-only."""
+    pos = fourier_encode(position_grid(seq_len), frequency_bands(num_freq_bands, max_freq))
+    pos.flags.writeable = False
+    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +219,40 @@ class Attention:
         v = self._split(self.v(kv_in))
         scores = scale(matmul(q, swap_axes(k, -1, -2)), 1.0 / np.sqrt(self.head_dim))
         probs = dropout(softmax_rows(scores), attn_dropout, training, rng)
-        ctx = swap_axes(matmul(probs, v), -3, -2)
-        ctx = reshape(ctx, ctx.shape[:-2] + (self.heads * self.head_dim,))
-        return self.out(ctx)
+        return self._merge(matmul(probs, v))
+
+    def _merge(self, ctx):
+        # [..., h, m, hd] -> [..., m, h*hd] -> out_proj
+        ctx = swap_axes(ctx, -3, -2)
+        return self.out(reshape(ctx, ctx.shape[:-2] + (self.heads * self.head_dim,)))
+
+
+class LatentCrossAttention(Attention):
+    """Attention whose key and value projections are absorbed into the other side.
+
+    K and V carry no bias, so with t = kv_in (width c) and per-head weights
+    W_k, W_v [c, hd]:
+
+        q kᵀ  = (q W_kᵀ) tᵀ       probs v = (probs t) W_v
+
+    are the same products summed in another order. This order never builds
+    the [..., n, h*hd] key and value tensors; its cost is about
+    2·m·n·c·h + 2·m·c·hd·h MAC against 2·n·c·hd·h + 2·m·n·hd·h, so it
+    wins when n ≫ m and c < hd (latents reading a long, narrow token
+    sequence). Parameters, their names and their init are those of
+    Attention; only the evaluation order differs, so float results agree
+    with Attention.__call__ up to rounding.
+    """
+
+    def __call__(self, q_in, kv_in, attn_dropout=0.0, training=False, rng=None):
+        wk, wv = (swap_axes(reshape(w, (w.shape[0], self.heads, self.head_dim)), 0, 1)
+                  for w in (self.k.weight.tensor, self.v.weight.tensor))   # [h, c, hd]
+        q = self._split(self.q(q_in))                               # [..., h, m, hd]
+        qk = scale(matmul(q, swap_axes(wk, -1, -2)), 1.0 / np.sqrt(self.head_dim))
+        t = reshape(kv_in, kv_in.shape[:-2] + (1,) + kv_in.shape[-2:])   # [..., 1, n, c]
+        scores = matmul(qk, swap_axes(t, -1, -2))                   # [..., h, m, n]
+        probs = dropout(softmax_rows(scores), attn_dropout, training, rng)
+        return self._merge(matmul(matmul(probs, t), wv))
 
 
 class GatedFeedForward:
@@ -235,8 +277,8 @@ class CrossBlock:
         d = cfg.latent_dim
         self.norm_q = LayerNorm(reg, f"{name}.norm_q", d)
         self.norm_kv = LayerNorm(reg, f"{name}.norm_kv", cfg.token_width)
-        self.attn = Attention(reg, f"{name}.attn", d, cfg.token_width,
-                              cfg.cross_heads, cfg.cross_head_dim, d)
+        self.attn = LatentCrossAttention(reg, f"{name}.attn", d, cfg.token_width,
+                                         cfg.cross_heads, cfg.cross_head_dim, d)
         self.norm_ff = LayerNorm(reg, f"{name}.norm_ff", d)
         self.ff = GatedFeedForward(reg, f"{name}.ff", d, cfg.ff_mult)
 

@@ -167,6 +167,18 @@ def test_thread_cap_env_limits_jobs(dataset, tmp_path, monkeypatch):
     assert meta["jobs"] == 1
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_thread_cap_env_exits_config(dataset, tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("ONEBT_THREADS", value)
+    out = tmp_path / "capped"
+    rc = main(["loso", "--config", _spec_file(tmp_path), "--data", dataset,
+               "--task", "IQ", "--out", str(out), "--jobs", "2"])
+    assert rc == EXIT_CODES["config"]
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "ONEBT_THREADS" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # cost
 

@@ -153,6 +153,42 @@ def test_nonfinite_signal_rejected_on_save(tmp_path, small_set):
         save_dataset(tmp_path / "bad.eeg", bad, 128, manifest.channel_names)
 
 
+@pytest.mark.parametrize("case", ["subject_id", "float_subject_id", "task", "label",
+                                  "shape", "nan", "float32_overflow",
+                                  "channel_name", "sample_rate"])
+def test_bad_late_sample_leaves_no_file(tmp_path, small_set, case):
+    """Every sample is checked before the file is opened: a bad one anywhere
+    raises DataError and writes neither the dataset nor its sidecar."""
+    manifest, samples = small_set
+    last = samples[-1]
+    sig, subj, task, label = last.signal.copy(), last.subject_id, last.task, last.label
+    names, rate = manifest.channel_names, manifest.sample_rate_hz
+    if case == "sample_rate":
+        rate = -1
+    elif case == "channel_name":
+        names = ("Fp\u00e9",) + names[1:]
+    elif case == "subject_id":
+        subj = 70000
+    elif case == "float_subject_id":
+        subj = 1.5
+    elif case == "task":
+        task = 3
+    elif case == "label":
+        label = 2
+    elif case == "shape":
+        sig = sig[:-1]
+    elif case == "nan":
+        sig[-1, -1] = np.nan
+    elif case == "float32_overflow":     # finite in float64, inf once stored
+        sig = sig.astype(np.float64)
+        sig[0, 0] = 1e39
+    bad = samples[:-1] + [EegSample(sig, subj, task, label)]
+    p = tmp_path / "bad.eeg"
+    with pytest.raises(DataError):
+        save_dataset(p, bad, rate, names)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_nonfinite_signal_rejected_on_load(tmp_path, small_set):
     manifest, samples = small_set
     p = tmp_path / "d.eeg"

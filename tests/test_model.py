@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from onebt.model import (ModelConfig, frequency_bands, position_grid,
-                         fourier_encode, tokenize, init_parameters)
+from onebt.model import (ModelConfig, Attention, LatentCrossAttention,
+                         frequency_bands, position_grid, fourier_encode,
+                         tokenize, init_parameters)
 from onebt.tensor import Tensor, ShapeError, ConfigError, backward, mean_axis, reshape
 from conftest import tiny_config, rel_err, fd_grad
+from test_tensor_ops import grad_of, TOL
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +75,33 @@ def test_tokenize_batched_matches_single(rng):
         np.testing.assert_array_equal(batch.data[i], tokenize(xb[i], cfg).data)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tokenize_matches_concatenate_formula(rng, dtype):
+    """The preallocated fill is bit-identical to concatenating the raw
+    channels with the float64 position features, then casting."""
+    cfg = tiny_config()
+    x = rng.standard_normal((3, cfg.seq_len, cfg.input_channels)).astype(dtype)
+    pos = fourier_encode(position_grid(cfg.seq_len),
+                         frequency_bands(cfg.num_freq_bands, cfg.max_freq))
+    expect = np.concatenate([x, np.broadcast_to(pos, x.shape[:-1] + pos.shape[-1:])],
+                            axis=-1).astype(dtype)
+    for window, want in ((x, expect), (x[0], expect[0])):
+        got = tokenize(window, cfg).data
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_tokenize_output_is_private(rng):
+    """Position features are cached; writing into one call's tokens must not
+    leak into the next call's."""
+    cfg = tiny_config()
+    x = rng.standard_normal((cfg.seq_len, cfg.input_channels))
+    first = tokenize(x, cfg)
+    expect = first.data.copy()
+    first.data[:] = 7.0
+    np.testing.assert_array_equal(tokenize(x, cfg).data, expect)
+
+
 def test_tokenize_default_width():
     # the 14-channel default with 12 bands gives 39-wide tokens
     assert ModelConfig().token_width == 39
@@ -86,6 +115,63 @@ def test_tokenize_rejects_wrong_geometry(rng):
         tokenize(rng.standard_normal((cfg.seq_len + 1, cfg.input_channels)), cfg)
     with pytest.raises(ShapeError):
         tokenize(rng.standard_normal((cfg.seq_len,)), cfg)
+
+
+# ---------------------------------------------------------------------------
+# latent-side cross-attention
+
+def _cross_attn(heads, seed=3):
+    model = init_parameters(tiny_config(cross_heads=heads), seed=seed, dtype=np.float64)
+    assert isinstance(model.cross.attn, LatentCrossAttention)
+    return model, model.cross.attn
+
+
+def _attn_inputs(rng, model, batched):
+    cfg = model.cfg
+    q_shape = (3, cfg.num_latents, cfg.latent_dim) if batched else (cfg.num_latents, cfg.latent_dim)
+    return rng.standard_normal(q_shape), rng.standard_normal((3, cfg.seq_len, cfg.token_width))
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("training", [False, True])
+def test_latent_cross_attention_matches_attention(rng, heads, batched, training):
+    """Same module, two evaluation orders: outputs and every gradient agree."""
+    model, att = _cross_attn(heads)
+    q, kv = _attn_inputs(rng, model, batched)
+    results = []
+    for call in (LatentCrossAttention.__call__, Attention.__call__):
+        model.zero_grad()
+        qt, kvt = Tensor(q.copy(), requires_grad=True), Tensor(kv.copy(), requires_grad=True)
+        out = call(att, qt, kvt, 0.3, training, np.random.default_rng(11))
+        backward(mean_axis(reshape(out, (out.data.size, 1)), 0))
+        grads = {p.name: p.grad for p in model.parameters() if p.name.startswith("cross.attn.")}
+        results.append((out.data, qt.grad, kvt.grad, grads))
+    (out_a, gq_a, gkv_a, gp_a), (out_b, gq_b, gkv_b, gp_b) = results
+    assert set(gp_a) == set(gp_b) and len(gp_a) == 5     # q, k, v, out weight, out bias
+    for a, b in [(out_a, out_b), (gq_a, gq_b), (gkv_a, gkv_b)] + \
+            [(gp_a[k], gp_b[k]) for k in gp_a]:
+        assert a.shape == b.shape
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_grad_latent_cross_attention(rng, heads):
+    """FD oracle for the reassociated products, wrt both inputs and all four
+    projection weights."""
+    model, att = _cross_attn(heads)
+    q, kv = _attn_inputs(rng, model, batched=True)
+    lins = (att.q, att.k, att.v, att.out)
+
+    def op(q_in, kv_in, *weights):
+        for lin, w in zip(lins, weights):
+            lin.weight.tensor = w
+        return att(q_in, kv_in)
+
+    args = (q, kv) + tuple(lin.weight.data.copy() for lin in lins)
+    for wrt in range(len(args)):
+        g, fd = grad_of(op, args, wrt)
+        assert rel_err(g, fd) < TOL, f"wrt={wrt}"
 
 
 # ---------------------------------------------------------------------------
