@@ -68,7 +68,7 @@ def load_model(path, expected_cfg=None, dtype=np.float32):
     (cfg_len,) = struct.unpack("<I", _need(f, 4, "config length"))
     try:
         cfg = ModelConfig.from_dict(json.loads(_need(f, cfg_len, "config")))
-    except (json.JSONDecodeError, TypeError) as e:
+    except (ValueError, TypeError) as e:     # bad JSON, bad utf-8 or a bad config
         raise CheckpointError(f"malformed embedded config: {e}") from e
     if expected_cfg is not None and cfg != expected_cfg:
         raise CheckpointError("checkpoint config does not match the expected config")

@@ -17,15 +17,17 @@ from dataclasses import dataclass, field, asdict
 from . import __version__
 from .checkpoint import CheckpointError, save_model
 from .cost import TABLE_PRESETS, cost_report
-from .data import (DataError, SynthSpec, Task, generate_synthetic,
-                   load_dataset, save_dataset, samples_to_arrays, channel_stats)
-from .harness import run_loso, thread_cap
+from .data import (DataError, SynthSpec, Task, generate_synthetic, load_dataset,
+                   save_dataset, samples_to_arrays, channel_stats, normalize)
+from .harness import run_loso
 from .metrics import cross_task_mean, fmt_mean_std, render_table, write_records
 from .model import ModelConfig, init_parameters
-from .tensor import ConfigError, NumericError
+from .tensor import ConfigError, NumericError, config_from_dict
 from .train import TrainConfig, train
 
 EXIT_CODES = {"config": 3, "data": 4, "checkpoint": 5, "numeric": 6, "io": 7}
+_ERRORS = {"config": ConfigError, "data": DataError, "checkpoint": CheckpointError,
+           "numeric": NumericError, "io": OSError}
 
 
 @dataclass
@@ -45,16 +47,10 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, d):
-        known = {"model", "train", "data", "task", "seed", "out_dir"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown run spec keys: {sorted(unknown)}")
-        spec = cls(
-            model=ModelConfig.from_dict(d.get("model", {})),
-            train=TrainConfig.from_dict(d.get("train", {})),
-            data=d.get("data"), task=d.get("task"),
-            seed=d.get("seed", 0), out_dir=d.get("out_dir"),
-        )
+        if isinstance(d, dict):
+            d = dict(d, model=ModelConfig.from_dict(d.get("model", {})),
+                     train=TrainConfig.from_dict(d.get("train", {})))
+        spec = config_from_dict(cls, d, "run spec")
         spec.train.seed = spec.seed
         return spec
 
@@ -68,9 +64,13 @@ class RunSpec:
         return cls.from_dict(raw)
 
     def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(path, self.to_dict())
+
+
+def _write_json(path, obj):
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def _config_hash(spec):
@@ -84,9 +84,7 @@ def _write_meta(out_dir, command, spec, argv, extra=None):
             "version": __version__}
     if extra:
         meta.update(extra)
-    with open(os.path.join(out_dir, "run.meta"), "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(out_dir, "run.meta"), meta)
     spec.save(os.path.join(out_dir, "config.json"))
 
 
@@ -105,6 +103,10 @@ def _load_spec(args):
         spec.out_dir = args.out
     if spec.task is not None:
         Task.from_name(spec.task)      # validate early
+    if not spec.out_dir:
+        raise ConfigError("--out is required")
+    spec.model.validate()
+    spec.train.validate()
     return spec
 
 
@@ -120,9 +122,19 @@ def _require_data(spec):
 
 
 def _jobs(args):
-    jobs = getattr(args, "jobs", 1) or 1
-    cap = thread_cap()
-    return min(jobs, cap) if cap is not None else jobs
+    """Fold workers: --jobs, capped by the ONEBT_THREADS variable when it is set."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    raw = os.environ.get("ONEBT_THREADS")
+    if not raw:
+        return args.jobs
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0                        # reported below, like any value under 1
+    if cap < 1:
+        raise ConfigError(f"ONEBT_THREADS must be an integer >= 1, got {raw!r}")
+    return min(args.jobs, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +155,6 @@ def cmd_gen_data(args, argv):
 
 def cmd_train(args, argv):
     spec = _load_spec(args)
-    if not spec.out_dir:
-        raise ConfigError("--out is required")
     manifest, samples = _require_data(spec)
     idx = None
     if spec.task is not None:
@@ -154,7 +164,7 @@ def cmd_train(args, argv):
             raise DataError(f"no samples for task {spec.task}")
     X, y = samples_to_arrays(samples, idx)
     mean, std = channel_stats(samples, idx if idx is not None else range(len(samples)))
-    X = ((X - mean) / std).astype(X.dtype)
+    X = normalize(X, mean, std)
 
     os.makedirs(spec.out_dir, exist_ok=True)
     model = init_parameters(spec.model, seed=spec.seed)
@@ -171,17 +181,13 @@ def cmd_train(args, argv):
 
 def cmd_loso(args, argv):
     spec = _load_spec(args)
-    if not spec.out_dir:
-        raise ConfigError("--out is required")
     manifest, samples = _require_data(spec)
     jobs = _jobs(args)
     os.makedirs(spec.out_dir, exist_ok=True)
     folds, summary = run_loso(samples, spec.model, spec.train,
                               task=spec.task, jobs=jobs)
     write_records(os.path.join(spec.out_dir, "folds.jsonl"), folds)
-    with open(os.path.join(spec.out_dir, "summary.json"), "w") as f:
-        json.dump(asdict(summary), f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(spec.out_dir, "summary.json"), asdict(summary))
     _write_meta(spec.out_dir, "loso", spec, argv,
                 {"normalization": "per-channel z-score, train-fold statistics",
                  "jobs": jobs})
@@ -235,8 +241,6 @@ def cmd_cost(args, argv):
 
 def cmd_sweep(args, argv):
     spec = _load_spec(args)
-    if not spec.out_dir:
-        raise ConfigError("--out is required")
     manifest, samples = _require_data(spec)
     jobs = _jobs(args)
     os.makedirs(spec.out_dir, exist_ok=True)
@@ -338,25 +342,13 @@ def _build_parser():
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args, argv)
-    except ConfigError as e:
-        print(f"error[config]: {e}", file=sys.stderr)
-        return EXIT_CODES["config"]
-    except DataError as e:
-        print(f"error[data]: {e}", file=sys.stderr)
-        return EXIT_CODES["data"]
-    except CheckpointError as e:
-        print(f"error[checkpoint]: {e}", file=sys.stderr)
-        return EXIT_CODES["checkpoint"]
-    except NumericError as e:
-        print(f"error[numeric]: {e}", file=sys.stderr)
-        return EXIT_CODES["numeric"]
-    except OSError as e:
-        print(f"error[io]: {e}", file=sys.stderr)
-        return EXIT_CODES["io"]
+    except tuple(_ERRORS.values()) as e:
+        category = next(c for c, cls in _ERRORS.items() if isinstance(e, cls))
+        print(f"error[{category}]: {e}", file=sys.stderr)
+        return EXIT_CODES[category]
 
 
 if __name__ == "__main__":

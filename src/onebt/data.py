@@ -9,7 +9,7 @@ adding extra power in a narrow band on a subset of channels.
 import io
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -349,13 +349,9 @@ def channel_stats(samples, indices):
     return mean.astype(np.float64), std.astype(np.float64)
 
 
-def normalize(samples, mean, std):
-    """Return new samples z-scored per channel with the given statistics."""
-    out = []
-    for s in samples:
-        sig = ((s.signal - mean) / std).astype(np.float32)
-        out.append(replace(s, signal=sig))
-    return out
+def normalize(X, mean, std):
+    """Windows X [..., L, C] z-scored per channel with the given statistics, as float32."""
+    return ((X - mean) / std).astype(np.float32)
 
 
 def samples_to_arrays(samples, indices=None):

@@ -6,36 +6,17 @@ driver can run them in worker processes; results are merged by fold id, so
 the jobs count never changes the numbers.
 """
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
-from .data import Task, channel_stats, loso_splits, samples_to_arrays
+from .data import Task, channel_stats, loso_splits, normalize, samples_to_arrays
 from .metrics import aggregate, fold_result
 from .model import init_parameters
-from .tensor import ConfigError
 from .train import evaluate_confusion, train
 
-__all__ = ["fold_seed", "run_fold", "run_loso", "thread_cap"]
-
-
-def thread_cap():
-    """Optional cap on worker processes from the ONEBT_THREADS variable.
-
-    Unset or empty means no cap; anything but an integer >= 1 is a ConfigError.
-    """
-    raw = os.environ.get("ONEBT_THREADS")
-    if not raw:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"ONEBT_THREADS must be an integer >= 1, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"ONEBT_THREADS must be an integer >= 1, got {raw!r}")
-    return cap
+__all__ = ["fold_seed", "run_fold", "run_loso"]
 
 
 def fold_seed(base_seed, fold_id):
@@ -49,8 +30,8 @@ def run_fold(samples, train_idx, test_idx, model_cfg, train_cfg, fold_id,
     mean, std = channel_stats(samples, train_idx)
     X_tr, y_tr = samples_to_arrays(samples, train_idx)
     X_te, y_te = samples_to_arrays(samples, test_idx)
-    X_tr = ((X_tr - mean) / std).astype(np.float32)
-    X_te = ((X_te - mean) / std).astype(np.float32)
+    X_tr = normalize(X_tr, mean, std)
+    X_te = normalize(X_te, mean, std)
 
     seed = fold_seed(train_cfg.seed, fold_id)
     model = init_parameters(model_cfg, seed=seed)
@@ -77,18 +58,19 @@ def _run_one(job):
 
 def run_loso(samples, model_cfg, train_cfg, task=None, jobs=1,
              positive=1, average="binary", std="population", config_id=""):
-    """All LOSO folds (optionally filtered to one task); returns (folds, summary)."""
+    """All LOSO folds (optionally filtered to one task); returns (folds, summary).
+
+    Folds run in min(jobs, folds) worker processes, or in this process when
+    that is 1 or less.
+    """
     if task is not None and isinstance(task, str):
         task = Task.from_name(task)
     splits = loso_splits(samples, task)
-    jobs = max(1, jobs)
-    cap = thread_cap()
-    if cap is not None:
-        jobs = min(jobs, cap)
 
     ids = [samples[test[0]].subject_id for _, test in splits]
     jobs_list = [(fid, tr, te) for fid, (tr, te) in zip(ids, splits)]
-    if jobs == 1:
+    workers = min(jobs, len(jobs_list))
+    if workers <= 1:
         results = []
         for fid, tr, te in jobs_list:
             result, _ = run_fold(samples, tr, te, model_cfg, train_cfg,
@@ -96,7 +78,7 @@ def run_loso(samples, model_cfg, train_cfg, task=None, jobs=1,
             results.append(result)
     else:
         with ProcessPoolExecutor(
-                max_workers=min(jobs, len(jobs_list)),
+                max_workers=workers,
                 initializer=_init_worker,
                 initargs=(samples, model_cfg, train_cfg, positive, average)) as ex:
             results = list(ex.map(_run_one, jobs_list))

@@ -11,12 +11,12 @@ All blocks are pre-norm with residual connections; feed-forwards are gated
 """
 
 import functools
-from dataclasses import dataclass, fields, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .tensor import (
-    Tensor, Parameter, ShapeError, ConfigError,
+    Tensor, Parameter, ShapeError, ConfigError, config_from_dict,
     matmul, linear, add, mul, scale, gelu, softmax_rows, layer_norm,
     mean_axis, dropout, reshape, swap_axes,
 )
@@ -53,11 +53,13 @@ class ModelConfig:
     def validate(self):
         positive = ("num_latents", "latent_dim", "cross_heads", "self_heads",
                     "cross_head_dim", "self_head_dim", "num_freq_bands",
-                    "input_channels", "num_classes", "ff_mult")
+                    "input_channels", "ff_mult")
         for name in positive:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+        if not isinstance(self.num_classes, int) or self.num_classes < 2:
+            raise ConfigError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
         if not isinstance(self.self_per_cross, int) or self.self_per_cross < 0:
             raise ConfigError(f"self_per_cross must be a non-negative integer, got {self.self_per_cross!r}")
         if not isinstance(self.seq_len, int) or self.seq_len < 2:
@@ -75,11 +77,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**d).validate()
+        return config_from_dict(cls, d, "model config").validate()
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +182,7 @@ class Linear:
         self.bias = reg.bias(f"{name}.bias", fan_out) if use_bias else None
 
     def __call__(self, t):
-        return linear(t, self.weight.tensor, self.bias.tensor if self.bias is not None else None)
+        return linear(t, self.weight, self.bias)
 
 
 class LayerNorm:
@@ -193,7 +191,7 @@ class LayerNorm:
         self.bias = reg.bias(f"{name}.bias", dim)
 
     def __call__(self, t):
-        return layer_norm(t, self.gain.tensor, self.bias.tensor)
+        return layer_norm(t, self.gain, self.bias)
 
 
 class Attention:
@@ -246,7 +244,7 @@ class LatentCrossAttention(Attention):
 
     def __call__(self, q_in, kv_in, attn_dropout=0.0, training=False, rng=None):
         wk, wv = (swap_axes(reshape(w, (w.shape[0], self.heads, self.head_dim)), 0, 1)
-                  for w in (self.k.weight.tensor, self.v.weight.tensor))   # [h, c, hd]
+                  for w in (self.k.weight, self.v.weight))   # [h, c, hd]
         q = self._split(self.q(q_in))                               # [..., h, m, hd]
         qk = scale(matmul(q, swap_axes(wk, -1, -2)), 1.0 / np.sqrt(self.head_dim))
         t = reshape(kv_in, kv_in.shape[:-2] + (1,) + kv_in.shape[-2:])   # [..., 1, n, c]
@@ -329,16 +327,13 @@ class OneBlockTransformer:
     def param(self, name):
         return self._params[name]
 
-    def named_parameters(self):
-        return dict(self._params)
-
     @property
     def num_params(self):
         return sum(p.data.size for p in self._params.values())
 
     def zero_grad(self):
         for p in self._params.values():
-            p.tensor.zero_grad()
+            p.zero_grad()
 
     def astype(self, dtype):
         for p in self._params.values():
@@ -353,7 +348,7 @@ class OneBlockTransformer:
         if tokens.shape[-1] != self.cfg.token_width:
             raise ShapeError(
                 f"forward: token width {tokens.shape[-1]} != configured {self.cfg.token_width}")
-        lat = self.latents.tensor
+        lat = self.latents
         if lat.dtype != tokens.dtype:
             tokens = Tensor(tokens.data.astype(lat.dtype))
         lat = self.cross(lat, tokens, self.cfg, training, rng)
@@ -363,11 +358,6 @@ class OneBlockTransformer:
         if pooled.ndim == 1:    # unbatched window: [d] -> [num_classes]
             return reshape(self.head(reshape(pooled, (1, -1))), (self.cfg.num_classes,))
         return self.head(pooled)
-
-    def predict(self, x):
-        """Hard labels for a window or batch of windows."""
-        logits = self.forward(x, training=False)
-        return np.argmax(logits.data, axis=-1)
 
 
 def init_parameters(cfg, seed=0, dtype=np.float32):

@@ -15,15 +15,17 @@ Float32 is the working precision; pass float64 arrays in (e.g. for finite
 difference checks) and every op stays in 64-bit.
 """
 
+import dataclasses
 import math
+import typing
 
 import numpy as np
 from scipy.special import erf
 
 __all__ = [
-    "Tensor", "Parameter", "ShapeError", "ConfigError", "NumericError",
+    "Tensor", "Parameter", "ShapeError", "ConfigError", "NumericError", "config_from_dict",
     "matmul", "linear", "add", "mul", "scale", "gelu", "softmax_rows", "layer_norm",
-    "mean_axis", "dropout", "concat_last_axis", "reshape", "swap_axes",
+    "mean_axis", "dropout", "reshape", "swap_axes",
     "cross_entropy_label_smoothed", "backward",
 ]
 
@@ -42,6 +44,33 @@ class ConfigError(ValueError):
 
 class NumericError(ArithmeticError):
     """A non-finite value appeared where the op requires finite input."""
+
+
+_ALSO_ACCEPTED = {float: (int,), tuple: (list,)}
+
+
+def config_from_dict(cls, d, what):
+    """cls(**d) for a dataclass, each value checked against its field's annotation.
+
+    An int passes for a float, a list for a tuple, and a bool for nothing.
+    ConfigError if d is not a dict, has a key cls lacks, a value of another
+    type, or a NaN or infinite float; range checks are left to the caller.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {d!r}")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(d) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for name, value in d.items():
+        ok = typing.get_args(types[name]) or (types[name],)
+        ok += tuple(t for o in ok for t in _ALSO_ACCEPTED.get(o, ()))
+        if isinstance(value, bool) or not isinstance(value, ok):
+            expected = getattr(types[name], "__name__", types[name])
+            raise ConfigError(f"{what} {name} must be {expected}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{what} {name} must be finite, got {value!r}")
+    return cls(**d)
 
 
 class _Node:
@@ -90,30 +119,17 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
 
-class Parameter:
+class Parameter(Tensor):
     """A named trainable leaf."""
 
-    __slots__ = ("name", "tensor", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, name, data, trainable=True):
+    def __init__(self, name, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.tensor = Tensor(data, requires_grad=True)
-        self.trainable = trainable
-
-    @property
-    def data(self):
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value):
-        self.tensor.data = value
-
-    @property
-    def grad(self):
-        return self.tensor.grad
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 def _as_tensor(x):
@@ -351,21 +367,6 @@ def dropout(x, rate, training, rng=None):
         return (g * mask if x.requires_grad else None,)
 
     return _make(out, (x,), bwd)
-
-
-def concat_last_axis(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != b.ndim or a.shape[:-1] != b.shape[:-1]:
-        raise ShapeError(f"concat_last_axis: shapes {a.shape} and {b.shape} differ off the last axis")
-    out = np.concatenate([a.data, b.data], axis=-1)
-    na = a.shape[-1]
-
-    def bwd(g):
-        ga = g[..., :na].copy() if a.requires_grad else None
-        gb = g[..., na:].copy() if b.requires_grad else None
-        return ga, gb
-
-    return _make(out, (a, b), bwd)
 
 
 def reshape(x, shape):

@@ -9,12 +9,14 @@ result. Gradient clipping and the two augmentations are off by default.
 
 import json
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .tensor import NumericError, ConfigError, backward, cross_entropy_label_smoothed
+from .tensor import (NumericError, ConfigError, backward, config_from_dict,
+                     cross_entropy_label_smoothed)
 from .data import DataError
+from .metrics import confusion_matrix
 
 __all__ = ["TrainConfig", "TrainLog", "AdamW", "cosine_lr", "train",
            "save_train_state", "load_train_state", "evaluate_confusion"]
@@ -48,6 +50,11 @@ class TrainConfig:
             raise ConfigError(f"aug_cutout_frac must be in [0, 1), got {self.aug_cutout_frac}")
         if self.aug_noise_sigma < 0:
             raise ConfigError(f"aug_noise_sigma must be >= 0, got {self.aug_noise_sigma}")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ConfigError(f"grad_clip must be > 0 or None, got {self.grad_clip}")
+        if len(self.betas) != 2 or not all(isinstance(b, (int, float)) and 0.0 <= b < 1.0
+                                           for b in self.betas):
+            raise ConfigError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
         return self
 
     def to_dict(self):
@@ -57,13 +64,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        if "betas" in d:
-            d = dict(d, betas=tuple(d["betas"]))
-        return cls(**d).validate()
+        cfg = config_from_dict(cls, d, "train config")
+        cfg.betas = tuple(cfg.betas)
+        return cfg.validate()
 
 
 @dataclass
@@ -90,13 +93,13 @@ def cosine_lr(step, total_steps, base_lr, min_lr=0.0):
 class AdamW:
     """Bias-corrected Adam with decoupled weight decay.
 
-    Decay is uniform over all trainable parameters (norm gains and biases
-    included). The learning rate is supplied per step by the caller, so any
-    schedule lives outside the optimizer.
+    Decay is uniform over all parameters (norm gains and biases included).
+    The learning rate is supplied per step by the caller, so any schedule
+    lives outside the optimizer.
     """
 
     def __init__(self, params, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
-        self.params = [p for p in params if p.trainable]
+        self.params = list(params)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
@@ -143,7 +146,7 @@ def _clip_grads(params, max_norm):
         s = max_norm / (norm + 1e-12)
         for p in params:
             if p.grad is not None:
-                p.tensor.grad = p.grad * s
+                p.grad = p.grad * s
 
 
 def _augment(xb, cfg, rng):
@@ -177,10 +180,7 @@ def _batch_forward(model, X, batch_size):
 def evaluate_confusion(model, X, y, batch_size=64):
     """Confusion matrix (rows = true, cols = predicted)."""
     pred = np.argmax(_batch_forward(model, X, batch_size), axis=-1)
-    n_cls = model.cfg.num_classes
-    conf = np.zeros((n_cls, n_cls), dtype=np.int64)
-    np.add.at(conf, (y, pred), 1)
-    return conf
+    return confusion_matrix(y, pred, model.cfg.num_classes)
 
 
 def train(model, X, y, cfg, X_val=None, y_val=None,

@@ -125,6 +125,35 @@ def test_unknown_spec_key_exits_config(dataset, tmp_path):
     assert rc == EXIT_CODES["config"]
 
 
+@pytest.mark.parametrize("raw", [
+    [], 5, {"model": 5}, {"train": {"lr": "x"}}, {"seed": "abc"},
+    {"train": {"betas": 3}}, {"train": {"betas": [0.9]}},
+    {"model": {"max_freq": "a"}}, {"train": {"batch_size": 2.5}},
+    {"task": 5}, {"train": {"lr": float("nan")}}, {"model": {"max_freq": float("inf")}},
+    {"train": {"grad_clip": -1}}, {"model": {"num_classes": 1}},
+], ids=lambda raw: json.dumps(raw, separators=(",", ":")).replace('"', ""))
+def test_malformed_spec_value_exits_config(dataset, tmp_path, capsys, raw):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "x"
+    rc = main(["train", "--config", str(path), "--data", dataset, "--out", str(out)])
+    assert rc == EXIT_CODES["config"]
+    assert "error[config]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--epochs", "0"], ["loso", "--epochs", "0"],
+    ["loso", "--jobs", "0"], ["loso", "--jobs", "-3"], ["sweep", "--jobs", "0"],
+], ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_bad_override_exits_config_without_out_dir(dataset, tmp_path, argv):
+    out = tmp_path / "run"
+    rc = main([*argv, "--config", _spec_file(tmp_path), "--data", dataset,
+               "--task", "IQ", "--out", str(out)])
+    assert rc == EXIT_CODES["config"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # loso
 

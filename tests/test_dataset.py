@@ -262,10 +262,11 @@ def test_normalize_train_fold_moments(small_set):
     _, samples = small_set
     train, test = loso_splits(samples)[0]
     mean, std = channel_stats(samples, train)
-    normed = normalize([samples[i] for i in train], mean, std)
-    stack = np.stack([s.signal for s in normed])
-    np.testing.assert_allclose(stack.mean(axis=(0, 1)), 0.0, atol=1e-5)
-    np.testing.assert_allclose(stack.std(axis=(0, 1)), 1.0, atol=1e-4)
+    X, _ = samples_to_arrays(samples, train)
+    normed = normalize(X, mean, std)
+    assert normed.dtype == np.float32 and normed.shape == X.shape
+    np.testing.assert_allclose(normed.mean(axis=(0, 1)), 0.0, atol=1e-5)
+    np.testing.assert_allclose(normed.std(axis=(0, 1)), 1.0, atol=1e-4)
 
 
 def test_normalize_ignores_test_fold_by_mutation(small_set):
@@ -289,8 +290,8 @@ def test_normalize_constant_channel_no_nan():
     with pytest.warns(UserWarning, match="zero-variance"):
         mean, std = channel_stats(samples, range(4))
     assert std[0] == 1.0
-    normed = normalize(samples, mean, std)
-    assert all(np.isfinite(s.signal).all() for s in normed)
+    normed = normalize(samples_to_arrays(samples)[0], mean, std)
+    assert np.isfinite(normed).all()
 
 
 def test_samples_to_arrays(small_set):

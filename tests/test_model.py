@@ -165,7 +165,7 @@ def test_grad_latent_cross_attention(rng, heads):
 
     def op(q_in, kv_in, *weights):
         for lin, w in zip(lins, weights):
-            lin.weight.tensor = w
+            lin.weight = w
         return att(q_in, kv_in)
 
     args = (q, kv) + tuple(lin.weight.data.copy() for lin in lins)
@@ -184,6 +184,8 @@ def test_model_config_validation():
         ModelConfig(attn_dropout=1.0).validate()
     with pytest.raises(ConfigError):
         ModelConfig(self_per_cross=-1).validate()
+    with pytest.raises(ConfigError, match="num_classes"):     # labels are 0..1
+        ModelConfig(num_classes=1).validate()
     with pytest.raises(ConfigError):
         ModelConfig.from_dict({"latent_size": 64})
     d = tiny_config().to_dict()
@@ -239,9 +241,9 @@ def test_residual_zeroing_identity(rng):
     so the network reduces to head(mean(final_norm(initial latents)))."""
     model = _f64_model(seed=4)
     cfg = model.cfg
-    for name, p in model.named_parameters().items():
-        if name.endswith(("out_proj.weight", "out_proj.bias",
-                          "down.weight", "down.bias")) and not name.startswith("head"):
+    for p in model.parameters():
+        if p.name.endswith(("out_proj.weight", "out_proj.bias",
+                            "down.weight", "down.bias")) and not p.name.startswith("head"):
             p.data = np.zeros_like(p.data)
     x = rng.standard_normal((cfg.seq_len, cfg.input_channels))
     got = model.forward(x).data

@@ -9,7 +9,7 @@ from scipy.special import softmax as sp_softmax
 
 from onebt.tensor import (Tensor, ShapeError, ConfigError, NumericError,
                           matmul, linear, add, mul, scale, gelu, softmax_rows,
-                          layer_norm, mean_axis, dropout, concat_last_axis,
+                          layer_norm, mean_axis, dropout,
                           reshape, swap_axes, cross_entropy_label_smoothed,
                           backward)
 from conftest import fd_grad, rel_err
@@ -188,11 +188,6 @@ def test_scale_and_mean_axis(rng):
 
 
 def test_concat_reshape_swap(rng):
-    a, b = rng.standard_normal((2, 3)), rng.standard_normal((2, 5))
-    out = concat_last_axis(Tensor(a), Tensor(b))
-    np.testing.assert_array_equal(out.data, np.concatenate([a, b], axis=-1))
-    with pytest.raises(ShapeError):
-        concat_last_axis(Tensor(a), Tensor(rng.standard_normal((3, 5))))
     x = rng.standard_normal((2, 3, 4))
     np.testing.assert_array_equal(reshape(Tensor(x), (6, 4)).data, x.reshape(6, 4))
     np.testing.assert_array_equal(swap_axes(Tensor(x), -1, -2).data, x.swapaxes(-1, -2))
@@ -371,13 +366,6 @@ def test_grad_mean_axis(rng):
     x = rng.standard_normal((3, 4, 5))
     g, fd = grad_of(mean_axis, (x,), 0, axis=1)
     assert rel_err(g, fd) < TOL
-
-
-def test_grad_concat(rng):
-    a, b = rng.standard_normal((2, 3)), rng.standard_normal((2, 4))
-    for wrt in (0, 1):
-        g, fd = grad_of(concat_last_axis, (a, b), wrt)
-        assert rel_err(g, fd) < TOL
 
 
 def test_grad_cross_entropy(rng):

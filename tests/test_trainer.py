@@ -297,6 +297,9 @@ def test_train_config_validation_and_round_trip():
         TrainConfig(label_smoothing=1.0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(epochs=0).validate()
+    for clip in (0, -1.0):      # a negative cap would turn clipped steps into ascent
+        with pytest.raises(ConfigError, match="grad_clip"):
+            TrainConfig(grad_clip=clip).validate()
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"learning_rate": 1e-4})
     cfg = TrainConfig(lr=2e-4, betas=(0.8, 0.95))
