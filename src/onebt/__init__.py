@@ -12,8 +12,8 @@ from .tensor import (Tensor, Parameter, ShapeError, ConfigError,        # noqa: 
 from .model import ModelConfig, OneBlockTransformer, init_parameters   # noqa: F401
 from .cost import CostReport, cost_report                               # noqa: F401
 from .train import TrainConfig, TrainLog, AdamW, cosine_lr, train      # noqa: F401
-from .data import (EegSample, DatasetManifest, SynthSpec, Task,        # noqa: F401
-                   DataError, generate_synthetic, load_dataset,
+from .data import (DatasetManifest, SynthSpec, Task, DataError,       # noqa: F401
+                   record_dtype, generate_synthetic, load_dataset,
                    save_dataset, loso_splits, normalize)
 from .metrics import (FoldResult, RunSummary, compute_metrics,         # noqa: F401
                       aggregate, cross_task_mean)

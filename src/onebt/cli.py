@@ -14,6 +14,8 @@ import os
 import sys
 from dataclasses import dataclass, field, asdict
 
+import numpy as np
+
 from . import __version__
 from .checkpoint import CheckpointError, save_model
 from .cost import TABLE_PRESETS, cost_report
@@ -113,12 +115,12 @@ def _load_spec(args):
 def _require_data(spec):
     if not spec.data:
         raise ConfigError("a dataset path is required (--data or the config file)")
-    manifest, samples = load_dataset(spec.data)
+    manifest, records = load_dataset(spec.data)
     # the window geometry comes from the data, not the ablation preset
     spec.model.seq_len = manifest.seq_len
     spec.model.input_channels = manifest.n_channels
     spec.model.validate()
-    return manifest, samples
+    return manifest, records
 
 
 def _jobs(args):
@@ -144,8 +146,8 @@ def cmd_gen_data(args, argv):
     spec = SynthSpec(n_subjects=args.subjects, samples_per_cell=args.per_level,
                      delta=args.delta, seq_len=args.seq_len,
                      sample_rate_hz=args.sample_rate)
-    manifest, samples = generate_synthetic(spec, seed=args.seed)
-    save_dataset(args.out, samples, manifest.sample_rate_hz,
+    manifest, records = generate_synthetic(spec, seed=args.seed)
+    save_dataset(args.out, records, manifest.sample_rate_hz,
                  manifest.channel_names, manifest.provenance)
     print(f"wrote {manifest.n_samples} samples "
           f"({manifest.seq_len}x{manifest.n_channels}, "
@@ -155,16 +157,14 @@ def cmd_gen_data(args, argv):
 
 def cmd_train(args, argv):
     spec = _load_spec(args)
-    manifest, samples = _require_data(spec)
-    idx = None
+    manifest, records = _require_data(spec)
+    idx = np.arange(len(records))
     if spec.task is not None:
-        t = Task.from_name(spec.task)
-        idx = [i for i, s in enumerate(samples) if s.task == t]
-        if not idx:
+        idx = np.flatnonzero(records.task == Task.from_name(spec.task))
+        if not idx.size:
             raise DataError(f"no samples for task {spec.task}")
-    X, y = samples_to_arrays(samples, idx)
-    mean, std = channel_stats(samples, idx if idx is not None else range(len(samples)))
-    X = normalize(X, mean, std)
+    X, y = samples_to_arrays(records, idx)
+    X = normalize(X, *channel_stats(records, idx))
 
     os.makedirs(spec.out_dir, exist_ok=True)
     model = init_parameters(spec.model, seed=spec.seed)
@@ -181,10 +181,10 @@ def cmd_train(args, argv):
 
 def cmd_loso(args, argv):
     spec = _load_spec(args)
-    manifest, samples = _require_data(spec)
+    manifest, records = _require_data(spec)
     jobs = _jobs(args)
     os.makedirs(spec.out_dir, exist_ok=True)
-    folds, summary = run_loso(samples, spec.model, spec.train,
+    folds, summary = run_loso(records, spec.model, spec.train,
                               task=spec.task, jobs=jobs)
     write_records(os.path.join(spec.out_dir, "folds.jsonl"), folds)
     _write_json(os.path.join(spec.out_dir, "summary.json"), asdict(summary))
@@ -241,12 +241,12 @@ def cmd_cost(args, argv):
 
 def cmd_sweep(args, argv):
     spec = _load_spec(args)
-    manifest, samples = _require_data(spec)
+    manifest, records = _require_data(spec)
     jobs = _jobs(args)
     os.makedirs(spec.out_dir, exist_ok=True)
 
     rows = []
-    records = []
+    results = []
     for table, label, preset in _preset_rows(args.preset):
         cfg = ModelConfig.from_dict(dict(
             preset.to_dict(), seq_len=manifest.seq_len,
@@ -254,7 +254,7 @@ def cmd_sweep(args, argv):
         rep = cost_report(cfg)
         summaries = []
         for t, tname in enumerate(Task.names):
-            _, summary = run_loso(samples, cfg, spec.train, task=t, jobs=jobs,
+            _, summary = run_loso(records, cfg, spec.train, task=t, jobs=jobs,
                                   config_id=f"{table}/{label}")
             summaries.append(summary)
         ctm = cross_task_mean(summaries)
@@ -265,7 +265,7 @@ def cmd_sweep(args, argv):
                         fmt_mean_std(s.f1_mean, s.f1_std)])
         row.append(f"{100 * ctm:.2f}")
         rows.append(row)
-        records.append({
+        results.append({
             "table": table, "config": label, "model": cfg.to_dict(),
             "params_m": rep.params_m, "gflops": rep.gflops,
             "tasks": {tn: asdict(s) for tn, s in zip(Task.names, summaries)},
@@ -279,7 +279,7 @@ def cmd_sweep(args, argv):
     print(text)
     with open(os.path.join(spec.out_dir, "sweep.txt"), "w") as f:
         f.write(text + "\n")
-    write_records(os.path.join(spec.out_dir, "sweep.jsonl"), records)
+    write_records(os.path.join(spec.out_dir, "sweep.jsonl"), results)
     _write_meta(spec.out_dir, "sweep", spec, argv, {"preset": args.preset})
     return 0
 

@@ -1,12 +1,14 @@
 """EEG windows: binary on-disk format, synthetic generation, LOSO splits.
 
-A dataset is a list of fixed-shape windows, each tagged with subject, task
-and difficulty label. The synthetic generator stands in for real recordings:
-band-limited sinusoids plus 1/f noise per channel, with the hard class
-adding extra power in a narrow band on a subset of channels.
+A dataset is one numpy record array whose dtype, `record_dtype(L, C)`, is the
+file's sample layout: per window a subject id, task and difficulty label,
+then the [L, C] float32 signal. Splits are index arrays into it. The
+synthetic generator stands in for real recordings: band-limited sinusoids
+plus 1/f noise per channel, with the hard class adding extra power in a
+narrow band on a subset of channels.
 """
 
-import io
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -15,7 +17,7 @@ import numpy as np
 
 __all__ = [
     "Task", "EASY", "HARD", "DEFAULT_CHANNELS", "DataError",
-    "EegSample", "DatasetManifest", "SynthSpec",
+    "DatasetManifest", "SynthSpec", "record_dtype",
     "save_dataset", "load_dataset", "generate_synthetic",
     "loso_splits", "channel_stats", "normalize", "samples_to_arrays",
 ]
@@ -45,12 +47,10 @@ class DataError(ValueError):
     """A dataset file or dataset-level precondition is violated."""
 
 
-@dataclass
-class EegSample:
-    signal: np.ndarray          # [seq_len, n_channels] float32
-    subject_id: int
-    task: int
-    label: int
+def record_dtype(seq_len, n_channels):
+    """One window as stored on disk (packed, little-endian, 4 + 4*L*C bytes)."""
+    return np.dtype([("subject_id", "<u2"), ("task", "u1"), ("label", "u1"),
+                     ("signal", "<f4", (seq_len, n_channels))])
 
 
 @dataclass
@@ -64,45 +64,55 @@ class DatasetManifest:
     samples_per_subject_per_level_per_task: int | None = None
     provenance: str = ""
 
-    def balanced(self):
-        return self.samples_per_subject_per_level_per_task is not None
 
-
-def _cell_counts(samples):
-    counts = {}
-    for s in samples:
-        key = (s.subject_id, s.task, s.label)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _build_manifest(samples, sample_rate_hz, channel_names, provenance):
-    counts = _cell_counts(samples)
-    uniform = len(set(counts.values())) == 1 if counts else False
+def _build_manifest(records, sample_rate_hz, channel_names, provenance):
+    cells = np.stack([records.subject_id, records.task, records.label], axis=1)
+    _, counts = np.unique(cells, axis=0, return_counts=True)
+    uniform = counts.size > 0 and bool((counts == counts[0]).all())
     if not uniform:
         warnings.warn("dataset is not balanced per (subject, task, level)")
-    L, C = samples[0].signal.shape
+    L, C = records.dtype["signal"].shape
     return DatasetManifest(
-        n_samples=len(samples),
+        n_samples=len(records),
         seq_len=L,
         n_channels=C,
         sample_rate_hz=sample_rate_hz,
-        n_subjects=len({s.subject_id for s in samples}),
+        n_subjects=len(np.unique(records.subject_id)),
         channel_names=tuple(channel_names),
-        samples_per_subject_per_level_per_task=(
-            next(iter(counts.values())) if uniform else None),
+        samples_per_subject_per_level_per_task=int(counts[0]) if uniform else None,
         provenance=provenance,
     )
+
+
+def _check_windows(records, offset=None, size=0):
+    """DataError for the first window with a non-finite signal or an
+    out-of-range tag, placed at `offset + i * size` when read from a file."""
+    finite = np.isfinite(records.signal).reshape(len(records), -1).all(axis=1)
+    ok = finite & (records.task <= 2) & (records.label <= 1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        where = f"sample {i}" + ("" if offset is None else f" at byte offset {offset + i * size}")
+        if not finite[i]:
+            raise DataError(f"{where} contains non-finite values")
+        raise DataError(f"{where} has task={records.task[i]} label={records.label[i]}, "
+                        f"expected task 0..2 and label 0..1")
 
 
 # ---------------------------------------------------------------------------
 # binary format
 
-def save_dataset(path, samples, sample_rate_hz, channel_names, provenance=""):
-    """Write the binary dataset plus a human-readable manifest sidecar."""
-    if not samples:
+def save_dataset(path, records, sample_rate_hz, channel_names, provenance=""):
+    """Write a record_dtype(L, C) array as the binary dataset plus a
+    human-readable manifest sidecar."""
+    dt = getattr(records, "dtype", None)
+    sig = (getattr(dt, "fields", None) or {}).get("signal")
+    shape = sig[0].shape if sig else ()
+    if len(shape) != 2 or dt != record_dtype(*shape):
+        raise DataError(f"records must have dtype record_dtype(L, C), got {dt}")
+    records = records.view(np.recarray)
+    if len(records) == 0:
         raise DataError("cannot save an empty dataset")
-    L, C = samples[0].signal.shape
+    L, C = shape
     if len(channel_names) != C:
         raise DataError(f"{len(channel_names)} channel names for {C} channels")
     raw_names = []
@@ -115,34 +125,17 @@ def save_dataset(path, samples, sample_rate_hz, channel_names, provenance=""):
             raise DataError(f"channel name {name!r} is longer than 255 bytes")
     if not isinstance(sample_rate_hz, (int, np.integer)) or not 0 < sample_rate_hz < 2**32:
         raise DataError(f"sample_rate_hz must be an integer in 1..2^32-1, got {sample_rate_hz!r}")
-    # every check runs before the file is opened, so a bad sample leaves no torn file
-    payloads = []
-    for i, s in enumerate(samples):
-        if s.signal.shape != (L, C):
-            raise DataError(f"sample {i} has shape {s.signal.shape}, expected {(L, C)}")
-        with np.errstate(over="ignore"):
-            payloads.append(np.ascontiguousarray(s.signal, dtype="<f4"))
-        if not np.all(np.isfinite(payloads[-1])):
-            raise DataError(f"sample {i} contains non-finite values (as float32)")
-        tags = (s.subject_id, s.task, s.label)
-        if not all(isinstance(v, (int, np.integer)) for v in tags):
-            raise DataError(f"sample {i} has subject_id, task, label = {tags}, expected integers")
-        if not 0 <= s.subject_id <= 0xFFFF:
-            raise DataError(f"sample {i} has subject_id={s.subject_id}, expected 0..65535")
-        if s.task not in (Task.IQ, Task.MATH, Task.GAME) or s.label not in (EASY, HARD):
-            raise DataError(f"sample {i} has task={s.task} label={s.label}, "
-                            f"expected task 0..2 and label 0..1")
-    manifest = _build_manifest(samples, sample_rate_hz, channel_names, provenance)
+    # every check runs before the file is opened, so a bad window leaves no torn file
+    _check_windows(records)
+    manifest = _build_manifest(records, sample_rate_hz, channel_names, provenance)
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<6I", VERSION, len(samples), L, C,
+        f.write(struct.pack("<6I", VERSION, len(records), L, C,
                             sample_rate_hz, manifest.n_subjects))
         for raw in raw_names:
             f.write(struct.pack("<B", len(raw)))
             f.write(raw)
-        for s, payload in zip(samples, payloads):
-            f.write(struct.pack("<HBB", s.subject_id, s.task, s.label))
-            f.write(payload.tobytes())
+        f.write(records.tobytes())
     _write_sidecar(path, manifest)
     return manifest
 
@@ -161,47 +154,51 @@ def _write_sidecar(path, m):
         f.write("\n".join(lines) + "\n")
 
 
-def _need(f, n, what):
-    buf = f.read(n)
-    if len(buf) != n:
+def _need(buf, off, n, what):
+    """Offset just past the n bytes for `what` at `off`; DataError when the
+    file ends first."""
+    if len(buf) - off < n:
         raise DataError(
             f"truncated dataset: wanted {n} bytes for {what} at byte offset "
-            f"{f.tell() - len(buf)}, got {len(buf)}")
-    return buf
+            f"{off}, got {max(len(buf) - off, 0)}")
+    return off + n
 
 
 def load_dataset(path):
-    """Read a dataset file back; returns (manifest, samples)."""
-    with open(path, "rb") as fh:
-        f = io.BytesIO(fh.read())
-    if _need(f, 4, "magic") != MAGIC:
+    """Read a dataset file back; returns (manifest, records)."""
+    with open(path, "rb") as f:
+        buf = bytearray(os.fstat(f.fileno()).st_size)
+        del buf[f.readinto(buf):]
+    _need(buf, 0, 4, "magic")
+    if buf[:4] != MAGIC:
         raise DataError(f"bad magic at byte offset 0, not a dataset file: {path}")
-    version, n, L, C, rate, n_subj = struct.unpack("<6I", _need(f, 24, "header"))
+    off = _need(buf, 4, 24, "header")
+    version, n, L, C, rate, n_subj = struct.unpack_from("<6I", buf, 4)
     if version != VERSION:
         raise DataError(f"unsupported dataset version {version} at byte offset 4")
     names = []
     for i in range(C):
-        (ln,) = struct.unpack("<B", _need(f, 1, f"channel {i} name length"))
-        names.append(_need(f, ln, f"channel {i} name").decode("ascii"))
-    samples = []
-    for i in range(n):
-        off = f.tell()
-        subj, task, label = struct.unpack("<HBB", _need(f, 4, f"sample {i} header"))
-        raw = _need(f, 4 * L * C, f"sample {i} signal")
-        sig = np.frombuffer(raw, dtype="<f4").reshape(L, C).copy()
-        if not np.all(np.isfinite(sig)):
-            raise DataError(f"sample {i} at byte offset {off} contains non-finite values")
-        if task > 2 or label > 1:
-            raise DataError(f"sample {i} at byte offset {off} has task={task} label={label}")
-        samples.append(EegSample(sig, subj, task, label))
-    trailing = f.read()
-    if trailing:
-        raise DataError(f"{len(trailing)} unexpected trailing bytes at offset {f.tell() - len(trailing)}")
-    if len({s.subject_id for s in samples}) != n_subj:
-        raise DataError(f"header claims {n_subj} subjects, file has "
-                        f"{len({s.subject_id for s in samples})}")
-    manifest = _build_manifest(samples, rate, names, _read_sidecar_provenance(path))
-    return manifest, samples
+        _need(buf, off, 1, f"channel {i} name length")
+        end = _need(buf, off + 1, buf[off], f"channel {i} name")
+        try:
+            names.append(buf[off + 1:end].decode("ascii"))
+        except UnicodeDecodeError:
+            raise DataError(f"channel {i} name at byte offset {off + 1} is not ASCII") from None
+        off = end
+    size = 4 + 4 * L * C
+    have = (len(buf) - off) // size
+    if have < n:
+        _need(buf, off + have * size, size, f"sample {have}")
+    if len(buf) > off + n * size:
+        raise DataError(f"{len(buf) - off - n * size} unexpected trailing bytes "
+                        f"at offset {off + n * size}")
+    records = np.frombuffer(buf, record_dtype(L, C), count=n, offset=off).view(np.recarray)
+    _check_windows(records, off, size)
+    found = len(np.unique(records.subject_id))
+    if found != n_subj:
+        raise DataError(f"header claims {n_subj} subjects, file has {found}")
+    manifest = _build_manifest(records, rate, names, _read_sidecar_provenance(path))
+    return manifest, records
 
 
 def _read_sidecar_provenance(path):
@@ -243,8 +240,8 @@ class SynthSpec:
                 self.channel_names = tuple(f"CH{i}" for i in range(self.n_channels))
 
     def validate(self):
-        if self.n_subjects < 1 or self.samples_per_cell < 1:
-            raise DataError("n_subjects and samples_per_cell must be >= 1")
+        if not 1 <= self.n_subjects <= 0xFFFF or self.samples_per_cell < 1:
+            raise DataError("n_subjects must be in 1..65535 and samples_per_cell >= 1")
         if self.seq_len < 2 or self.n_channels < 1:
             raise DataError("seq_len must be >= 2 and n_channels >= 1")
         if self.delta < 0:
@@ -288,58 +285,46 @@ def _window(rng, spec, hard):
 
 
 def generate_synthetic(spec, seed=0):
-    """Deterministic synthetic dataset; returns (manifest, samples)."""
+    """Deterministic synthetic dataset; returns (manifest, records)."""
     spec.validate()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     gains = rng.normal(1.0, spec.subject_gain_std,
                        size=(spec.n_subjects, spec.n_channels))
-    samples = []
-    for subj in range(spec.n_subjects):
-        for task in (Task.IQ, Task.MATH, Task.GAME):
-            for label in (EASY, HARD):
-                for _ in range(spec.samples_per_cell):
-                    sig = _window(rng, spec, hard=(label == HARD)) * gains[subj]
-                    samples.append(EegSample(sig.astype(np.float32), subj, task, label))
-    manifest = DatasetManifest(
-        n_samples=len(samples),
-        seq_len=spec.seq_len,
-        n_channels=spec.n_channels,
-        sample_rate_hz=spec.sample_rate_hz,
-        n_subjects=spec.n_subjects,
-        channel_names=tuple(spec.channel_names),
-        samples_per_subject_per_level_per_task=spec.samples_per_cell,
-        provenance=(f"synthetic delta={spec.delta} band={spec.band} "
-                    f"seed={seed}"),
-    )
-    return manifest, samples
+    records = np.zeros(spec.n_subjects * 6 * spec.samples_per_cell,
+                       record_dtype(spec.seq_len, spec.n_channels)).view(np.recarray)
+    # subject-major, then task, label and repeat: the order windows are drawn in
+    grid = np.indices((spec.n_subjects, 3, 2, spec.samples_per_cell)).reshape(4, -1)
+    records.subject_id, records.task, records.label = grid[:3]
+    signal = records.signal
+    for i, (subj, label) in enumerate(zip(records.subject_id, records.label)):
+        signal[i] = _window(rng, spec, hard=(label == HARD)) * gains[subj]
+    manifest = _build_manifest(records, spec.sample_rate_hz, spec.channel_names,
+                               f"synthetic delta={spec.delta} band={spec.band} seed={seed}")
+    return manifest, records
 
 
 # ---------------------------------------------------------------------------
 # splitting and normalization
 
-def loso_splits(samples, task=None):
-    """One (train indices, test indices) pair per subject, sorted by subject id.
+def loso_splits(records, task=None):
+    """One (train indices, test indices) pair of index arrays per subject,
+    sorted by subject id.
 
-    With a task filter, both sides keep only that task's samples.
+    With a task filter, both sides keep only that task's windows.
     """
     if task is not None and isinstance(task, str):
         task = Task.from_name(task)
-    pool = [i for i, s in enumerate(samples)
-            if task is None or s.task == task]
-    subjects = sorted({samples[i].subject_id for i in pool})
+    pool = np.arange(len(records)) if task is None else np.flatnonzero(records.task == task)
+    subject = records.subject_id[pool]
+    subjects = np.unique(subject)
     if len(subjects) < 2:
         raise DataError(f"LOSO needs at least 2 subjects, found {len(subjects)}")
-    folds = []
-    for subj in subjects:
-        test = [i for i in pool if samples[i].subject_id == subj]
-        train = [i for i in pool if samples[i].subject_id != subj]
-        folds.append((train, test))
-    return folds
+    return [(pool[subject != s], pool[subject == s]) for s in subjects]
 
 
-def channel_stats(samples, indices):
-    """Per-channel mean and std over the given samples (zero std becomes 1)."""
-    stack = np.stack([samples[i].signal for i in indices])      # [n, L, C]
+def channel_stats(records, indices):
+    """Per-channel mean and std over the given windows (zero std becomes 1)."""
+    stack = records.signal[indices]                             # [n, L, C]
     mean = stack.mean(axis=(0, 1))
     std = stack.std(axis=(0, 1))
     zero = std == 0.0
@@ -354,10 +339,6 @@ def normalize(X, mean, std):
     return ((X - mean) / std).astype(np.float32)
 
 
-def samples_to_arrays(samples, indices=None):
-    """Stack samples into (X [n, L, C] float32, y [n] int64)."""
-    if indices is None:
-        indices = range(len(samples))
-    X = np.stack([samples[i].signal for i in indices]).astype(np.float32)
-    y = np.array([samples[i].label for i in indices], dtype=np.int64)
-    return X, y
+def samples_to_arrays(records, indices):
+    """Gather the indexed windows into (X [n, L, C] float32, y [n] int64)."""
+    return records.signal[indices], records.label[indices].astype(np.int64)

@@ -24,12 +24,12 @@ def fold_seed(base_seed, fold_id):
     return int(np.random.SeedSequence([base_seed, fold_id]).generate_state(1)[0])
 
 
-def run_fold(samples, train_idx, test_idx, model_cfg, train_cfg, fold_id,
+def run_fold(records, train_idx, test_idx, model_cfg, train_cfg, fold_id,
              positive=1, average="binary"):
     """Train on train_idx, test on test_idx; returns (FoldResult, TrainLog)."""
-    mean, std = channel_stats(samples, train_idx)
-    X_tr, y_tr = samples_to_arrays(samples, train_idx)
-    X_te, y_te = samples_to_arrays(samples, test_idx)
+    mean, std = channel_stats(records, train_idx)
+    X_tr, y_tr = samples_to_arrays(records, train_idx)
+    X_te, y_te = samples_to_arrays(records, test_idx)
     X_tr = normalize(X_tr, mean, std)
     X_te = normalize(X_te, mean, std)
 
@@ -43,20 +43,20 @@ def run_fold(samples, train_idx, test_idx, model_cfg, train_cfg, fold_id,
 _worker_env = {}
 
 
-def _init_worker(samples, model_cfg, train_cfg, positive, average):
-    _worker_env.update(samples=samples, model_cfg=model_cfg,
+def _init_worker(records, model_cfg, train_cfg, positive, average):
+    _worker_env.update(records=records, model_cfg=model_cfg,
                        train_cfg=train_cfg, positive=positive, average=average)
 
 
 def _run_one(job):
     fold_id, train_idx, test_idx = job
     e = _worker_env
-    result, _ = run_fold(e["samples"], train_idx, test_idx, e["model_cfg"],
+    result, _ = run_fold(e["records"], train_idx, test_idx, e["model_cfg"],
                          e["train_cfg"], fold_id, e["positive"], e["average"])
     return result
 
 
-def run_loso(samples, model_cfg, train_cfg, task=None, jobs=1,
+def run_loso(records, model_cfg, train_cfg, task=None, jobs=1,
              positive=1, average="binary", std="population", config_id=""):
     """All LOSO folds (optionally filtered to one task); returns (folds, summary).
 
@@ -65,22 +65,22 @@ def run_loso(samples, model_cfg, train_cfg, task=None, jobs=1,
     """
     if task is not None and isinstance(task, str):
         task = Task.from_name(task)
-    splits = loso_splits(samples, task)
+    splits = loso_splits(records, task)
 
-    ids = [samples[test[0]].subject_id for _, test in splits]
+    ids = [int(records.subject_id[test[0]]) for _, test in splits]
     jobs_list = [(fid, tr, te) for fid, (tr, te) in zip(ids, splits)]
     workers = min(jobs, len(jobs_list))
     if workers <= 1:
         results = []
         for fid, tr, te in jobs_list:
-            result, _ = run_fold(samples, tr, te, model_cfg, train_cfg,
+            result, _ = run_fold(records, tr, te, model_cfg, train_cfg,
                                  fid, positive, average)
             results.append(result)
     else:
         with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker,
-                initargs=(samples, model_cfg, train_cfg, positive, average)) as ex:
+                initargs=(records, model_cfg, train_cfg, positive, average)) as ex:
             results = list(ex.map(_run_one, jobs_list))
     results.sort(key=lambda r: r.fold_id)
     summary = aggregate(results, config_id=config_id, task=task, std=std)

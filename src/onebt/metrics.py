@@ -13,19 +13,11 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 __all__ = [
-    "Metrics", "FoldResult", "RunSummary",
+    "FoldResult", "RunSummary",
     "confusion_matrix", "compute_metrics", "fold_result",
     "aggregate", "cross_task_mean", "fmt_mean_std",
     "render_table", "write_records",
 ]
-
-
-@dataclass
-class Metrics:
-    accuracy: float
-    precision: float
-    f1: float
-    degenerate: bool = False    # a zero denominator was replaced by score 0
 
 
 @dataclass
@@ -35,7 +27,7 @@ class FoldResult:
     accuracy: float
     precision: float
     f1: float
-    degenerate: bool = False
+    degenerate: bool = False    # a zero denominator was replaced by score 0
 
 
 @dataclass
@@ -81,7 +73,7 @@ def _prec_f1(conf, positive):
 
 
 def compute_metrics(conf, positive=1, average="binary"):
-    """Accuracy, precision and F1 from a confusion matrix.
+    """(accuracy, precision, f1, degenerate) from a confusion matrix.
 
     average="binary" scores the positive class; "macro" averages the
     per-class scores. Zero denominators give 0 and set the degenerate flag.
@@ -104,13 +96,11 @@ def compute_metrics(conf, positive=1, average="binary"):
         degenerate = any(d for _, _, d in parts)
     else:
         raise ValueError(f"unknown average {average!r}")
-    return Metrics(accuracy, precision, f1, degenerate)
+    return accuracy, precision, f1, degenerate
 
 
 def fold_result(fold_id, conf, positive=1, average="binary"):
-    m = compute_metrics(conf, positive, average)
-    return FoldResult(fold_id, np.asarray(conf), m.accuracy, m.precision,
-                      m.f1, m.degenerate)
+    return FoldResult(fold_id, np.asarray(conf), *compute_metrics(conf, positive, average))
 
 
 def aggregate(folds, config_id="", task=None, std="population"):

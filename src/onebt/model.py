@@ -11,6 +11,7 @@ All blocks are pre-norm with residual connections; feed-forwards are gated
 """
 
 import functools
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -64,8 +65,8 @@ class ModelConfig:
             raise ConfigError(f"self_per_cross must be a non-negative integer, got {self.self_per_cross!r}")
         if not isinstance(self.seq_len, int) or self.seq_len < 2:
             raise ConfigError(f"seq_len must be an integer >= 2, got {self.seq_len!r}")
-        if self.max_freq < 2.0:
-            raise ConfigError(f"max_freq must be >= 2, got {self.max_freq}")
+        if not 2.0 <= self.max_freq < math.inf:       # False for NaN
+            raise ConfigError(f"max_freq must be finite and >= 2, got {self.max_freq}")
         for name in ("attn_dropout", "ff_dropout"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .tensor import (NumericError, ConfigError, backward, config_from_dict,
                      cross_entropy_label_smoothed)
+from .checkpoint import CheckpointError
 from .data import DataError
 from .metrics import confusion_matrix
 
@@ -38,8 +39,13 @@ class TrainConfig:
     aug_cutout_frac: float = 0.0        # zeroed fraction of the window
 
     def validate(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        # a chained comparison is False for NaN, and the `< inf` bound rejects inf
+        for name in ("lr", "eps"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("weight_decay", "min_lr", "aug_noise_sigma"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.epochs < 1:
@@ -48,8 +54,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.aug_cutout_frac < 1.0:
             raise ConfigError(f"aug_cutout_frac must be in [0, 1), got {self.aug_cutout_frac}")
-        if self.aug_noise_sigma < 0:
-            raise ConfigError(f"aug_noise_sigma must be >= 0, got {self.aug_noise_sigma}")
         if self.grad_clip is not None and not self.grad_clip > 0:
             raise ConfigError(f"grad_clip must be > 0 or None, got {self.grad_clip}")
         if len(self.betas) != 2 or not all(isinstance(b, (int, float)) and 0.0 <= b < 1.0
@@ -190,7 +194,8 @@ def train(model, X, y, cfg, X_val=None, y_val=None,
     The schedule covers epochs * ceil(n / batch) steps, annealed so the very
     last step lands exactly on min_lr. `stop_after_epoch` ends the loop early
     (schedule unchanged) and `resume` (from load_train_state) continues a
-    stopped run on the same trajectory.
+    stopped run on the same trajectory; a state saved under another config
+    or data size raises CheckpointError.
     """
     cfg.validate()
     n = len(X)
@@ -208,6 +213,10 @@ def train(model, X, y, cfg, X_val=None, y_val=None,
     start_epoch = 0
     log = TrainLog()
     if resume is not None:
+        if resume.get("config") != cfg.to_dict() or resume.get("n") != n:
+            raise CheckpointError(
+                f"train state belongs to another run: saved for n={resume.get('n')} "
+                f"with {resume.get('config')}, resuming n={n} with {cfg.to_dict()}")
         opt.load_state_dict(resume["optimizer"])
         start_epoch = resume["next_epoch"]
         shuffle_rng.bit_generator.state = resume["rng"]["shuffle"]
@@ -256,7 +265,7 @@ def train(model, X, y, cfg, X_val=None, y_val=None,
 
     if state_path is not None:
         save_train_state(state_path, opt, epoch + 1,
-                         shuffle_rng, dropout_rng, aug_rng)
+                         shuffle_rng, dropout_rng, aug_rng, cfg, n)
     log.summary = {"epochs_run": len(log.records), "steps": step}
     if log.records:
         log.summary["final_train_loss"] = log.records[-1]["train_loss"]
@@ -286,9 +295,10 @@ def _rng_state_restore(d):
             "has_uint32": d["has_uint32"], "uinteger": d["uinteger"]}
 
 
-def save_train_state(path, opt, next_epoch, shuffle_rng, dropout_rng, aug_rng):
-    """Optimizer moments + step counter + RNG positions, for exact resume."""
-    meta = {"t": opt.t, "next_epoch": next_epoch,
+def save_train_state(path, opt, next_epoch, shuffle_rng, dropout_rng, aug_rng, cfg, n):
+    """Optimizer moments + step counter + RNG positions, for exact resume,
+    bound to the run's TrainConfig and training-set size."""
+    meta = {"t": opt.t, "next_epoch": next_epoch, "config": cfg.to_dict(), "n": n,
             "names": [p.name for p in opt.params],
             "rng": {"shuffle": _rng_state_jsonable(shuffle_rng),
                     "dropout": _rng_state_jsonable(dropout_rng),
@@ -308,4 +318,5 @@ def load_train_state(path):
         v = {name: z["v." + name] for name in meta["names"]}
     return {"optimizer": {"t": meta["t"], "m": m, "v": v},
             "next_epoch": meta["next_epoch"],
+            "config": meta.get("config"), "n": meta.get("n"),
             "rng": {k: _rng_state_restore(s) for k, s in meta["rng"].items()}}

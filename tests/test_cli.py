@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from onebt.cli import main, RunSpec, EXIT_CODES
 from onebt.data import load_dataset
 from onebt.tensor import ConfigError
 from reference_tables import PUBLISHED
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TINY_SPEC = {
     "model": {"num_latents": 2, "latent_dim": 8, "cross_heads": 2,
@@ -98,6 +101,19 @@ def test_train_unknown_task_exits_data(dataset, tmp_path):
     rc = main(["train", "--config", _spec_file(tmp_path), "--data", dataset,
                "--task", "CHESS", "--out", str(tmp_path / "x")])
     assert rc == EXIT_CODES["data"]
+
+
+def test_corrupt_channel_name_exits_data(dataset, tmp_path, capsys):
+    blob = bytearray(Path(dataset).read_bytes())
+    blob[29] = 0xFF                     # first byte of the first channel name
+    bad = tmp_path / "bad.eeg"
+    bad.write_bytes(bytes(blob))
+    out = tmp_path / "x"
+    rc = main(["train", "--config", _spec_file(tmp_path), "--data", str(bad),
+               "--out", str(out)])
+    assert rc == EXIT_CODES["data"]
+    assert "error[data]: channel 0 name" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_missing_out_exits_config(dataset, tmp_path):
@@ -206,6 +222,29 @@ def test_bad_thread_cap_env_exits_config(dataset, tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert "error[config]" in err and "ONEBT_THREADS" in err
     assert not out.exists()
+
+
+def test_benchmark_trace_hook_wraps_loso(tmp_path):
+    """perfbench's trace hook wraps onebt functions by module attribute name.
+    A name it cannot find prints an error from sitecustomize and leaves the
+    traced benchmark without spans, so run the hook on a tiny LOSO here."""
+    data = tmp_path / "d.eeg"
+    assert main(["gen-data", "--subjects", "3", "--per-level", "1",
+                 "--seq-len", "16", "--out", str(data)]) == 0
+    trace = tmp_path / "trace"
+    trace.mkdir()
+    env = dict(os.environ, PERFBENCH_TRACE_DIR=str(trace), PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(str(ROOT / p) for p in
+                                          ("src", "perfbench/hook", "perfbench")))
+    launcher = "import sys; from onebt.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, "loso", "--config", _spec_file(tmp_path),
+         "--data", str(data), "--task", "IQ", "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    names = [json.loads(line)[2] for f in trace.iterdir()
+             for line in f.read_text().splitlines()]
+    assert names.count("harness.run_fold") == 3            # one per subject
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from onebt.data import (DataError, EegSample, SynthSpec, Task, EASY, HARD,
+from onebt.data import (DataError, SynthSpec, Task, EASY, HARD, record_dtype,
                         DEFAULT_CHANNELS, generate_synthetic, save_dataset,
                         load_dataset, loso_splits, channel_stats, normalize,
                         samples_to_arrays)
@@ -100,6 +100,8 @@ def test_spec_validation():
         SynthSpec(n_subjects=0).validate()
     with pytest.raises(DataError):
         small_spec(target_channels=(99,)).validate()
+    with pytest.raises(DataError, match="65535"):      # subject ids are stored as uint16
+        SynthSpec(n_subjects=70000).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +115,14 @@ def test_save_load_round_trip_bitwise(tmp_path, small_set):
     loaded_manifest, loaded = load_dataset(p)
     assert loaded_manifest == manifest
     assert len(loaded) == len(samples)
-    for a, b in zip(samples, loaded):
-        assert (a.subject_id, a.task, a.label) == (b.subject_id, b.task, b.label)
-        np.testing.assert_array_equal(a.signal, b.signal)
+    assert loaded.dtype == record_dtype(32, 14) and loaded.dtype.itemsize == 4 + 4 * 32 * 14
+    assert loaded.tobytes() == samples.tobytes()
+    assert loaded.flags.writeable
     assert (tmp_path / "d.eeg.manifest.txt").exists()
+    # a plain structured array of the same dtype writes the same bytes
+    save_dataset(tmp_path / "plain.eeg", samples.view(np.ndarray), manifest.sample_rate_hz,
+                 manifest.channel_names, manifest.provenance)
+    assert (tmp_path / "plain.eeg").read_bytes() == p.read_bytes()
 
 
 def test_truncated_file_reports_offset(tmp_path, small_set):
@@ -147,42 +153,38 @@ def test_bad_magic_and_trailing(tmp_path, small_set):
 
 def test_nonfinite_signal_rejected_on_save(tmp_path, small_set):
     manifest, samples = small_set
-    bad = [EegSample(samples[0].signal.copy(), 0, 0, 0)]
-    bad[0].signal[3, 2] = np.nan
+    bad = samples[:1].copy()
+    bad.signal[0, 3, 2] = np.nan
     with pytest.raises(DataError, match="non-finite"):
         save_dataset(tmp_path / "bad.eeg", bad, 128, manifest.channel_names)
 
 
-@pytest.mark.parametrize("case", ["subject_id", "float_subject_id", "task", "label",
-                                  "shape", "nan", "float32_overflow",
-                                  "channel_name", "sample_rate"])
+@pytest.mark.parametrize("case", ["task", "label", "wrong_dtype", "plain_array", "nan",
+                                  "float32_overflow", "channel_name", "sample_rate"])
 def test_bad_late_sample_leaves_no_file(tmp_path, small_set, case):
-    """Every sample is checked before the file is opened: a bad one anywhere
+    """Every window is checked before the file is opened: a bad one anywhere
     raises DataError and writes neither the dataset nor its sidecar."""
     manifest, samples = small_set
-    last = samples[-1]
-    sig, subj, task, label = last.signal.copy(), last.subject_id, last.task, last.label
+    bad = samples.copy()
     names, rate = manifest.channel_names, manifest.sample_rate_hz
     if case == "sample_rate":
         rate = -1
     elif case == "channel_name":
         names = ("Fp\u00e9",) + names[1:]
-    elif case == "subject_id":
-        subj = 70000
-    elif case == "float_subject_id":
-        subj = 1.5
     elif case == "task":
-        task = 3
+        bad.task[-1] = 3
     elif case == "label":
-        label = 2
-    elif case == "shape":
-        sig = sig[:-1]
+        bad.label[-1] = 2
+    elif case == "wrong_dtype":          # a signal field that is not [L, C]
+        bad = np.zeros(len(samples), [("subject_id", "<u2"), ("task", "u1"),
+                                      ("label", "u1"), ("signal", "<f4", (32 * 14,))])
+    elif case == "plain_array":
+        bad = samples.signal.copy()
     elif case == "nan":
-        sig[-1, -1] = np.nan
+        bad.signal[-1, -1, -1] = np.nan
     elif case == "float32_overflow":     # finite in float64, inf once stored
-        sig = sig.astype(np.float64)
-        sig[0, 0] = 1e39
-    bad = samples[:-1] + [EegSample(sig, subj, task, label)]
+        with np.errstate(over="ignore"):
+            bad.signal[-1, 0, 0] = np.float64(1e39)
     p = tmp_path / "bad.eeg"
     with pytest.raises(DataError):
         save_dataset(p, bad, rate, names)
@@ -224,6 +226,7 @@ def test_loso_one_fold_per_subject(small_set):
     all_test = [i for _, test in folds for i in test]
     assert sorted(all_test) == list(range(len(samples)))       # partition
     for train, test in folds:
+        assert train.dtype.kind == test.dtype.kind == "i"
         test_subjects = {samples[i].subject_id for i in test}
         train_subjects = {samples[i].subject_id for i in train}
         assert len(test_subjects) == 1
@@ -240,7 +243,7 @@ def test_loso_eleven_subjects_task_filter():
     assert len(per_task) == 11
     for train, test in per_task:
         assert len(test) == 24                      # 12 easy + 12 hard
-        assert all(samples[i].task == Task.MATH for i in train + test)
+        assert (samples.task[np.concatenate([train, test])] == Task.MATH).all()
 
 
 def test_loso_single_subject_rejected():
@@ -274,28 +277,27 @@ def test_normalize_ignores_test_fold_by_mutation(small_set):
     _, samples = small_set
     train, test = loso_splits(samples)[0]
     before = channel_stats(samples, train)
-    mutated = [EegSample(s.signal.copy(), s.subject_id, s.task, s.label)
-               for s in samples]
-    for i in test:
-        mutated[i].signal *= 1e6
+    mutated = samples.copy()
+    mutated.signal[test] *= 1e6
     after = channel_stats(mutated, train)
     np.testing.assert_array_equal(before[0], after[0])
     np.testing.assert_array_equal(before[1], after[1])
 
 
 def test_normalize_constant_channel_no_nan():
-    sig = np.zeros((16, 2), dtype=np.float32)
-    sig[:, 1] = np.linspace(0, 1, 16)
-    samples = [EegSample(sig.copy(), s, 0, l) for s in (0, 1) for l in (0, 1)]
+    samples = np.zeros(4, record_dtype(16, 2)).view(np.recarray)
+    samples.subject_id, samples.label = [0, 0, 1, 1], [0, 1, 0, 1]
+    samples.signal[:, :, 1] = np.linspace(0, 1, 16)
     with pytest.warns(UserWarning, match="zero-variance"):
         mean, std = channel_stats(samples, range(4))
     assert std[0] == 1.0
-    normed = normalize(samples_to_arrays(samples)[0], mean, std)
+    normed = normalize(samples_to_arrays(samples, range(4))[0], mean, std)
     assert np.isfinite(normed).all()
 
 
 def test_samples_to_arrays(small_set):
     _, samples = small_set
     X, y = samples_to_arrays(samples, [0, 5, 7])
-    assert X.shape == (3, 32, 14) and X.dtype == np.float32
+    assert X.shape == (3, 32, 14) and X.dtype == np.float32 and y.dtype == np.int64
     assert y.tolist() == [samples[0].label, samples[5].label, samples[7].label]
+    np.testing.assert_array_equal(X[1], samples[5].signal)

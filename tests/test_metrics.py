@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from onebt.metrics import (Metrics, FoldResult, confusion_matrix,
+from onebt.metrics import (FoldResult, confusion_matrix,
                            compute_metrics, fold_result, aggregate,
                            cross_task_mean, fmt_mean_std, render_table,
                            write_records)
@@ -27,53 +27,53 @@ def test_confusion_multiclass():
 
 
 def test_perfect_predictions():
-    m = compute_metrics([[7, 0], [0, 5]])
-    assert (m.accuracy, m.precision, m.f1) == (1.0, 1.0, 1.0)
-    assert not m.degenerate
+    accuracy, precision, f1, degenerate = compute_metrics([[7, 0], [0, 5]])
+    assert (accuracy, precision, f1) == (1.0, 1.0, 1.0)
+    assert not degenerate
 
 
 def test_hand_worked_example():
     # tp=9 fp=2 fn=3 tn=10 with positive=1
-    m = compute_metrics([[10, 2], [3, 9]])
-    assert m.accuracy == pytest.approx(19 / 24)
-    assert m.precision == pytest.approx(9 / 11)
+    accuracy, precision, f1, degenerate = compute_metrics([[10, 2], [3, 9]])
+    assert accuracy == pytest.approx(19 / 24)
+    assert precision == pytest.approx(9 / 11)
     recall = 9 / 12
-    assert m.f1 == pytest.approx(2 * (9 / 11) * recall / (9 / 11 + recall))
-    assert not m.degenerate
+    assert f1 == pytest.approx(2 * (9 / 11) * recall / (9 / 11 + recall))
+    assert not degenerate
 
 
 def test_all_predicted_negative_is_degenerate():
-    m = compute_metrics([[6, 0], [6, 0]])
-    assert m.accuracy == pytest.approx(0.5)
-    assert m.precision == 0.0
-    assert m.f1 == 0.0
-    assert m.degenerate
+    accuracy, precision, f1, degenerate = compute_metrics([[6, 0], [6, 0]])
+    assert accuracy == pytest.approx(0.5)
+    assert precision == 0.0
+    assert f1 == 0.0
+    assert degenerate
 
 
 def test_positive_class_swap():
     conf = [[10, 2], [3, 9]]
-    m0 = compute_metrics(conf, positive=0)
+    accuracy0, precision0, _, _ = compute_metrics(conf, positive=0)
     # scoring class 0: tp=10, fp=3, fn=2
-    assert m0.precision == pytest.approx(10 / 13)
-    assert m0.accuracy == compute_metrics(conf).accuracy
+    assert precision0 == pytest.approx(10 / 13)
+    assert accuracy0 == compute_metrics(conf)[0]
 
 
 def test_macro_is_mean_of_per_class_scores():
     conf = [[10, 2], [3, 9]]
-    macro = compute_metrics(conf, average="macro")
+    accuracy, precision, f1, _ = compute_metrics(conf, average="macro")
     per = [compute_metrics(conf, positive=k) for k in (0, 1)]
-    assert macro.precision == pytest.approx(np.mean([p.precision for p in per]))
-    assert macro.f1 == pytest.approx(np.mean([p.f1 for p in per]))
-    assert macro.accuracy == per[0].accuracy
+    assert precision == pytest.approx(np.mean([p[1] for p in per]))
+    assert f1 == pytest.approx(np.mean([p[2] for p in per]))
+    assert accuracy == per[0][0]
 
 
 def test_macro_symmetric_under_label_flip():
     conf = np.array([[10, 2], [3, 9]])
     flipped = conf[::-1, ::-1]
-    a = compute_metrics(conf, average="macro")
-    b = compute_metrics(flipped, average="macro")
-    assert a.precision == pytest.approx(b.precision)
-    assert a.f1 == pytest.approx(b.f1)
+    _, precision_a, f1_a, _ = compute_metrics(conf, average="macro")
+    _, precision_b, f1_b, _ = compute_metrics(flipped, average="macro")
+    assert precision_a == pytest.approx(precision_b)
+    assert f1_a == pytest.approx(f1_b)
 
 
 def test_metrics_input_validation():

@@ -192,6 +192,12 @@ def test_model_config_validation():
     assert ModelConfig.from_dict(d) == tiny_config()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_model_config_rejects_nonfinite_max_freq(value):
+    with pytest.raises(ConfigError, match="max_freq"):
+        ModelConfig(max_freq=value).validate()
+
+
 # ---------------------------------------------------------------------------
 # architectural invariances
 

@@ -2,11 +2,12 @@
 bitwise determinism, exact resume, and the learning smoke tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from onebt.checkpoint import save_model, load_model
+from onebt.checkpoint import CheckpointError, save_model, load_model
 from onebt.data import DataError
 from onebt.model import init_parameters
 from onebt.tensor import Parameter, ConfigError, NumericError
@@ -251,6 +252,24 @@ def test_resume_reproduces_straight_run(tmp_path):
         np.testing.assert_array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("n,overrides", [
+    (8, dict(batch_size=8, epochs=9, lr=5e-2)),     # every binding differs
+    (8, {}),                                        # the data size alone
+    (20, dict(lr=5e-2)),                            # the config alone
+], ids=["all", "n", "lr"])
+def test_resume_refuses_foreign_state(tmp_path, n, overrides):
+    """A train state resumes only the run that saved it: same TrainConfig
+    and the same number of training windows."""
+    X, y = _toy_data(n=20)
+    cfg = quick_cfg(epochs=4, batch_size=4, lr=1e-3)
+    model = init_parameters(tiny_config(), seed=0)
+    train(model, X, y, cfg, stop_after_epoch=2, state_path=tmp_path / "state")
+    state = load_train_state(tmp_path / "state")
+    X2, y2 = _toy_data(n=n)
+    with pytest.raises(CheckpointError, match="another run"):
+        train(model, X2, y2, replace(cfg, **overrides), resume=state)
+
+
 def test_val_metrics_logged():
     X, y = _toy_data(n=16)
     model = init_parameters(tiny_config(), seed=0)
@@ -305,6 +324,16 @@ def test_train_config_validation_and_round_trip():
     cfg = TrainConfig(lr=2e-4, betas=(0.8, 0.95))
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
     assert TrainConfig().to_dict()["betas"] == [0.9, 0.999]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lr", math.nan), ("lr", math.inf), ("weight_decay", math.nan),
+    ("weight_decay", -1.0), ("eps", math.nan), ("eps", 0.0), ("eps", -1.0),
+    ("min_lr", math.nan), ("aug_noise_sigma", math.nan),
+])
+def test_train_config_rejects_nonfinite_and_out_of_range(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value}).validate()
 
 
 def test_paper_defaults():
