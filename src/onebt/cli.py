@@ -19,13 +19,12 @@ import numpy as np
 from . import __version__
 from .checkpoint import CheckpointError, save_model
 from .cost import TABLE_PRESETS, cost_report
-from .data import (DataError, SynthSpec, Task, generate_synthetic, load_dataset,
-                   save_dataset, samples_to_arrays, channel_stats, normalize)
-from .harness import run_loso
+from .data import DataError, SynthSpec, Task, generate_synthetic, load_dataset, save_dataset
+from .harness import fit, run_loso
 from .metrics import cross_task_mean, fmt_mean_std, render_table, write_records
-from .model import ModelConfig, init_parameters
+from .model import ModelConfig
 from .tensor import ConfigError, NumericError, config_from_dict
-from .train import TrainConfig, train
+from .train import TrainConfig
 
 EXIT_CODES = {"config": 3, "data": 4, "checkpoint": 5, "numeric": 6, "io": 7}
 _ERRORS = {"config": ConfigError, "data": DataError, "checkpoint": CheckpointError,
@@ -163,17 +162,14 @@ def cmd_train(args, argv):
         idx = np.flatnonzero(records.task == Task.from_name(spec.task))
         if not idx.size:
             raise DataError(f"no samples for task {spec.task}")
-    X, y = samples_to_arrays(records, idx)
-    X = normalize(X, *channel_stats(records, idx))
 
     os.makedirs(spec.out_dir, exist_ok=True)
-    model = init_parameters(spec.model, seed=spec.seed)
-    log = train(model, X, y, spec.train)
+    model, log, _, _ = fit(records, idx, spec.model, spec.train)   # train.seed is spec.seed
     save_model(model, os.path.join(spec.out_dir, "model.ckpt"))
-    log.write_records(os.path.join(spec.out_dir, "train.log.jsonl"))
+    write_records(os.path.join(spec.out_dir, "train.log.jsonl"), log.records)
     _write_meta(spec.out_dir, "train", spec, argv,
                 {"normalization": "per-channel z-score over the fit set"})
-    print(f"trained {spec.train.epochs} epochs on {len(X)} samples; "
+    print(f"trained {spec.train.epochs} epochs on {len(idx)} samples; "
           f"final loss {log.summary['final_train_loss']:.4f}, "
           f"acc {log.summary['final_train_acc']:.3f}")
     return 0

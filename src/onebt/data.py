@@ -322,11 +322,10 @@ def loso_splits(records, task=None):
     return [(pool[subject != s], pool[subject == s]) for s in subjects]
 
 
-def channel_stats(records, indices):
-    """Per-channel mean and std over the given windows (zero std becomes 1)."""
-    stack = records.signal[indices]                             # [n, L, C]
-    mean = stack.mean(axis=(0, 1))
-    std = stack.std(axis=(0, 1))
+def channel_stats(X):
+    """Per-channel mean and std over windows X [n, L, C] (zero std becomes 1)."""
+    mean = X.mean(axis=(0, 1))
+    std = X.std(axis=(0, 1))
     zero = std == 0.0
     if zero.any():
         warnings.warn(f"{int(zero.sum())} zero-variance channel(s); using divisor 1")

@@ -1,7 +1,8 @@
 """Per-fold training/evaluation and the LOSO driver.
 
-Each fold normalizes with its own training-fold statistics, trains a fresh
-model, and evaluates on the held-out subject. Folds are independent, so the
+`fit` is the one training path: `onebt train` and every fold z-score with
+the fit set's statistics and train a fresh seeded model through it. Each
+fold then evaluates on the held-out subject. Folds are independent, so the
 driver can run them in worker processes; results are merged by fold id, so
 the jobs count never changes the numbers.
 """
@@ -16,7 +17,7 @@ from .metrics import aggregate, fold_result
 from .model import init_parameters
 from .train import evaluate_confusion, train
 
-__all__ = ["fold_seed", "run_fold", "run_loso"]
+__all__ = ["fit", "fold_seed", "run_fold", "run_loso"]
 
 
 def fold_seed(base_seed, fold_id):
@@ -24,40 +25,43 @@ def fold_seed(base_seed, fold_id):
     return int(np.random.SeedSequence([base_seed, fold_id]).generate_state(1)[0])
 
 
-def run_fold(records, train_idx, test_idx, model_cfg, train_cfg, fold_id,
-             positive=1, average="binary"):
-    """Train on train_idx, test on test_idx; returns (FoldResult, TrainLog)."""
-    mean, std = channel_stats(records, train_idx)
-    X_tr, y_tr = samples_to_arrays(records, train_idx)
-    X_te, y_te = samples_to_arrays(records, test_idx)
-    X_tr = normalize(X_tr, mean, std)
-    X_te = normalize(X_te, mean, std)
+def fit(records, idx, model_cfg, train_cfg):
+    """Z-score the indexed windows with their own statistics and train a fresh
+    model seeded with train_cfg.seed; returns (model, TrainLog, mean, std)."""
+    X, y = samples_to_arrays(records, idx)
+    mean, std = channel_stats(X)
+    X = normalize(X, mean, std)          # drop the raw gather before training
+    model = init_parameters(model_cfg, seed=train_cfg.seed)
+    log = train(model, X, y, train_cfg)
+    return model, log, mean, std
 
+
+def run_fold(records, train_idx, test_idx, model_cfg, train_cfg, fold_id):
+    """Train on train_idx, test on test_idx; returns (FoldResult, TrainLog)."""
     seed = fold_seed(train_cfg.seed, fold_id)
-    model = init_parameters(model_cfg, seed=seed)
-    log = train(model, X_tr, y_tr, replace(train_cfg, seed=seed))
-    conf = evaluate_confusion(model, X_te, y_te)
-    return fold_result(fold_id, conf, positive, average), log
+    model, log, mean, std = fit(records, train_idx, model_cfg,
+                                replace(train_cfg, seed=seed))
+    X_te, y_te = samples_to_arrays(records, test_idx)
+    conf = evaluate_confusion(model, normalize(X_te, mean, std), y_te)
+    return fold_result(fold_id, conf), log
 
 
 _worker_env = {}
 
 
-def _init_worker(records, model_cfg, train_cfg, positive, average):
-    _worker_env.update(records=records, model_cfg=model_cfg,
-                       train_cfg=train_cfg, positive=positive, average=average)
+def _init_worker(records, model_cfg, train_cfg):
+    _worker_env.update(records=records, model_cfg=model_cfg, train_cfg=train_cfg)
 
 
 def _run_one(job):
     fold_id, train_idx, test_idx = job
     e = _worker_env
     result, _ = run_fold(e["records"], train_idx, test_idx, e["model_cfg"],
-                         e["train_cfg"], fold_id, e["positive"], e["average"])
+                         e["train_cfg"], fold_id)
     return result
 
 
-def run_loso(records, model_cfg, train_cfg, task=None, jobs=1,
-             positive=1, average="binary", std="population", config_id=""):
+def run_loso(records, model_cfg, train_cfg, task=None, jobs=1, config_id=""):
     """All LOSO folds (optionally filtered to one task); returns (folds, summary).
 
     Folds run in min(jobs, folds) worker processes, or in this process when
@@ -71,17 +75,14 @@ def run_loso(records, model_cfg, train_cfg, task=None, jobs=1,
     jobs_list = [(fid, tr, te) for fid, (tr, te) in zip(ids, splits)]
     workers = min(jobs, len(jobs_list))
     if workers <= 1:
-        results = []
-        for fid, tr, te in jobs_list:
-            result, _ = run_fold(records, tr, te, model_cfg, train_cfg,
-                                 fid, positive, average)
-            results.append(result)
+        results = [run_fold(records, tr, te, model_cfg, train_cfg, fid)[0]
+                   for fid, tr, te in jobs_list]
     else:
         with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker,
-                initargs=(records, model_cfg, train_cfg, positive, average)) as ex:
+                initargs=(records, model_cfg, train_cfg)) as ex:
             results = list(ex.map(_run_one, jobs_list))
     results.sort(key=lambda r: r.fold_id)
-    summary = aggregate(results, config_id=config_id, task=task, std=std)
+    summary = aggregate(results, config_id=config_id, task=task)
     return results, summary

@@ -7,6 +7,7 @@ bias-corrected Adam step). No early stopping; final-epoch weights are the
 result. Gradient clipping and the two augmentations are off by default.
 """
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -78,11 +79,6 @@ class TrainLog:
     records: list = field(default_factory=list)   # one dict per epoch
     step_lrs: list = field(default_factory=list)  # lr actually used at every step
     summary: dict = field(default_factory=dict)
-
-    def write_records(self, path):
-        with open(path, "w") as f:
-            for rec in self.records:
-                f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def cosine_lr(step, total_steps, base_lr, min_lr=0.0):
@@ -173,29 +169,23 @@ def _rng_streams(seed):
     return tuple(np.random.Generator(np.random.Philox(k)) for k in kids)
 
 
-def _batch_forward(model, X, batch_size):
-    """Eval-mode logits over X in batches, as one [n, num_classes] array."""
-    outs = []
-    for i in range(0, len(X), batch_size):
-        outs.append(model.forward(X[i:i + batch_size], training=False).data)
-    return np.concatenate(outs, axis=0)
-
-
 def evaluate_confusion(model, X, y, batch_size=64):
-    """Confusion matrix (rows = true, cols = predicted)."""
-    pred = np.argmax(_batch_forward(model, X, batch_size), axis=-1)
+    """Confusion matrix (rows = true, cols = predicted) of eval-mode
+    predictions over X, in batches."""
+    pred = np.concatenate([
+        np.argmax(model.forward(X[i:i + batch_size], training=False).data, axis=-1)
+        for i in range(0, len(X), batch_size)])
     return confusion_matrix(y, pred, model.cfg.num_classes)
 
 
-def train(model, X, y, cfg, X_val=None, y_val=None,
-          stop_after_epoch=None, state_path=None, resume=None):
+def train(model, X, y, cfg, stop_after_epoch=None, state_path=None, resume=None):
     """Fit the model in place; returns a TrainLog.
 
     The schedule covers epochs * ceil(n / batch) steps, annealed so the very
     last step lands exactly on min_lr. `stop_after_epoch` ends the loop early
     (schedule unchanged) and `resume` (from load_train_state) continues a
-    stopped run on the same trajectory; a state saved under another config
-    or data size raises CheckpointError.
+    stopped run on the same trajectory; a state saved under another config,
+    data size or weights raises CheckpointError.
     """
     cfg.validate()
     n = len(X)
@@ -213,10 +203,13 @@ def train(model, X, y, cfg, X_val=None, y_val=None,
     start_epoch = 0
     log = TrainLog()
     if resume is not None:
-        if resume.get("config") != cfg.to_dict() or resume.get("n") != n:
+        if resume["config"] != cfg.to_dict() or resume["n"] != n:
             raise CheckpointError(
-                f"train state belongs to another run: saved for n={resume.get('n')} "
-                f"with {resume.get('config')}, resuming n={n} with {cfg.to_dict()}")
+                f"train state belongs to another run: saved for n={resume['n']} "
+                f"with {resume['config']}, resuming n={n} with {cfg.to_dict()}")
+        if resume["weights_sha256"] != _weights_sha256(opt.params):
+            raise CheckpointError("train state was saved with other weights than "
+                                  "the model it resumes")
         opt.load_state_dict(resume["optimizer"])
         start_epoch = resume["next_epoch"]
         shuffle_rng.bit_generator.state = resume["rng"]["shuffle"]
@@ -252,13 +245,8 @@ def train(model, X, y, cfg, X_val=None, y_val=None,
             epoch_hits += int((np.argmax(logits.data, axis=-1) == yb).sum())
             step += 1
 
-        rec = {"epoch": epoch, "lr": lr_first, "lr_end": lr_last,
-               "train_loss": epoch_loss / n, "train_acc": epoch_hits / n}
-        if X_val is not None:
-            logits = _batch_forward(model, X_val, cfg.batch_size)
-            val_pred = np.argmax(logits, axis=-1)
-            rec["val_acc"] = float((val_pred == y_val).mean())
-        log.records.append(rec)
+        log.records.append({"epoch": epoch, "lr": lr_first, "lr_end": lr_last,
+                            "train_loss": epoch_loss / n, "train_acc": epoch_hits / n})
 
         if stop_after_epoch is not None and epoch + 1 >= stop_after_epoch:
             break
@@ -270,35 +258,35 @@ def train(model, X, y, cfg, X_val=None, y_val=None,
     if log.records:
         log.summary["final_train_loss"] = log.records[-1]["train_loss"]
         log.summary["final_train_acc"] = log.records[-1]["train_acc"]
-        if X_val is not None:
-            log.summary["final_val_acc"] = log.records[-1]["val_acc"]
     return log
 
 
 # -- resumable state ---------------------------------------------------------
 
 def _rng_state_jsonable(gen):
-    st = gen.bit_generator.state
-    return {"counter": st["state"]["counter"].tolist(),
-            "key": st["state"]["key"].tolist(),
-            "buffer": st["buffer"].tolist(),
-            "buffer_pos": st["buffer_pos"],
-            "has_uint32": st["has_uint32"], "uinteger": st["uinteger"]}
+    st = gen.bit_generator.state          # Philox: uint64 arrays, the rest plain
+    return dict(st, state={k: v.tolist() for k, v in st["state"].items()},
+                buffer=st["buffer"].tolist())
 
 
 def _rng_state_restore(d):
-    return {"bit_generator": "Philox",
-            "state": {"counter": np.array(d["counter"], dtype=np.uint64),
-                      "key": np.array(d["key"], dtype=np.uint64)},
-            "buffer": np.array(d["buffer"], dtype=np.uint64),
-            "buffer_pos": d["buffer_pos"],
-            "has_uint32": d["has_uint32"], "uinteger": d["uinteger"]}
+    return dict(d, state={k: np.array(v, dtype=np.uint64) for k, v in d["state"].items()},
+                buffer=np.array(d["buffer"], dtype=np.uint64))
+
+
+def _weights_sha256(params):
+    h = hashlib.sha256()
+    for p in params:
+        h.update(p.name.encode())
+        h.update(np.ascontiguousarray(p.data).tobytes())
+    return h.hexdigest()
 
 
 def save_train_state(path, opt, next_epoch, shuffle_rng, dropout_rng, aug_rng, cfg, n):
     """Optimizer moments + step counter + RNG positions, for exact resume,
-    bound to the run's TrainConfig and training-set size."""
+    bound to the run's TrainConfig, training-set size and current weights."""
     meta = {"t": opt.t, "next_epoch": next_epoch, "config": cfg.to_dict(), "n": n,
+            "weights_sha256": _weights_sha256(opt.params),
             "names": [p.name for p in opt.params],
             "rng": {"shuffle": _rng_state_jsonable(shuffle_rng),
                     "dropout": _rng_state_jsonable(dropout_rng),
@@ -311,12 +299,24 @@ def save_train_state(path, opt, next_epoch, shuffle_rng, dropout_rng, aug_rng, c
 
 
 def load_train_state(path):
-    """Inverse of save_train_state; feed the result to train(resume=...)."""
-    with np.load(path if str(path).endswith(".npz") else str(path) + ".npz") as z:
-        meta = json.loads(str(z["__meta__"]))
-        m = {name: z["m." + name] for name in meta["names"]}
-        v = {name: z["v." + name] for name in meta["names"]}
-    return {"optimizer": {"t": meta["t"], "m": m, "v": v},
-            "next_epoch": meta["next_epoch"],
-            "config": meta.get("config"), "n": meta.get("n"),
-            "rng": {k: _rng_state_restore(s) for k, s in meta["rng"].items()}}
+    """Inverse of save_train_state; feed the result to train(resume=...).
+
+    A missing file raises OSError and a malformed one CheckpointError.
+    """
+    path = str(path) if str(path).endswith(".npz") else str(path) + ".npz"
+    with open(path, "rb") as f:
+        try:
+            with np.load(f) as z:
+                meta = json.loads(str(z["__meta__"]))
+                m = {name: z["m." + name] for name in meta["names"]}
+                v = {name: z["v." + name] for name in meta["names"]}
+            rng = {k: _rng_state_restore(s) for k, s in meta["rng"].items()}
+            for state in rng.values():
+                np.random.Philox().state = state        # rejects a malformed state
+            return {"optimizer": {"t": meta["t"], "m": m, "v": v},
+                    "next_epoch": meta["next_epoch"], "config": meta["config"],
+                    "n": meta["n"], "weights_sha256": meta["weights_sha256"], "rng": rng}
+        # one flipped bit surfaces from np.load as any of BadZipFile, KeyError,
+        # ValueError, RuntimeError, NotImplementedError, TokenError or OSError
+        except Exception as e:
+            raise CheckpointError(f"{path} is not a valid train state: {e!r}") from e

@@ -256,8 +256,8 @@ def test_criterion_6_loso_partition_and_leakage(synth_signal):
     train, test = splits[0]
     mutated = samples.copy()
     mutated.signal[test] *= 100.0
-    m0, s0 = channel_stats(samples, train)
-    m1, s1 = channel_stats(mutated, train)
+    m0, s0 = channel_stats(samples.signal[train])
+    m1, s1 = channel_stats(mutated.signal[train])
     np.testing.assert_array_equal(m0, m1)
     np.testing.assert_array_equal(s0, s1)
 

@@ -224,10 +224,9 @@ def test_bad_thread_cap_env_exits_config(dataset, tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
-def test_benchmark_trace_hook_wraps_loso(tmp_path):
-    """perfbench's trace hook wraps onebt functions by module attribute name.
-    A name it cannot find prints an error from sitecustomize and leaves the
-    traced benchmark without spans, so run the hook on a tiny LOSO here."""
+def _traced_span_names(tmp_path, command):
+    """Run `onebt <command>` on a tiny dataset under perfbench's trace hook;
+    returns the span names it recorded."""
     data = tmp_path / "d.eeg"
     assert main(["gen-data", "--subjects", "3", "--per-level", "1",
                  "--seq-len", "16", "--out", str(data)]) == 0
@@ -238,13 +237,27 @@ def test_benchmark_trace_hook_wraps_loso(tmp_path):
                                           ("src", "perfbench/hook", "perfbench")))
     launcher = "import sys; from onebt.cli import main; sys.exit(main())"
     proc = subprocess.run(
-        [sys.executable, "-c", launcher, "loso", "--config", _spec_file(tmp_path),
+        [sys.executable, "-c", launcher, command, "--config", _spec_file(tmp_path),
          "--data", str(data), "--task", "IQ", "--out", str(tmp_path / "run")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    names = [json.loads(line)[2] for f in trace.iterdir()
-             for line in f.read_text().splitlines()]
+    return [json.loads(line)[2] for f in trace.iterdir()
+            for line in f.read_text().splitlines()]
+
+
+def test_benchmark_trace_hook_wraps_loso(tmp_path):
+    """perfbench's trace hook wraps onebt functions by module attribute name.
+    A name it cannot find prints an error from sitecustomize and leaves the
+    traced benchmark without spans, so run the hook on a tiny LOSO here."""
+    names = _traced_span_names(tmp_path, "loso")
     assert names.count("harness.run_fold") == 3            # one per subject
+
+
+def test_benchmark_trace_hook_sees_train_fit(tmp_path):
+    """`onebt train` fits through harness.fit, so the hook's spans cover it."""
+    names = _traced_span_names(tmp_path, "train")
+    assert names.count("train.fit") == 1
+    assert names.count("data.channel_stats") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Dataset module: binary format round-trips, generator properties, LOSO
-splitting, and leakage-proof normalization."""
+splitting, and leakage-proof normalization through harness.fit."""
 
 import warnings
 
@@ -10,6 +10,9 @@ from onebt.data import (DataError, SynthSpec, Task, EASY, HARD, record_dtype,
                         DEFAULT_CHANNELS, generate_synthetic, save_dataset,
                         load_dataset, loso_splits, channel_stats, normalize,
                         samples_to_arrays)
+from onebt.harness import fit
+from onebt.train import TrainConfig
+from conftest import tiny_config
 
 
 def small_spec(**kw):
@@ -264,24 +267,29 @@ def test_loso_unknown_task_rejected(small_set):
 def test_normalize_train_fold_moments(small_set):
     _, samples = small_set
     train, test = loso_splits(samples)[0]
-    mean, std = channel_stats(samples, train)
     X, _ = samples_to_arrays(samples, train)
+    mean, std = channel_stats(X)
     normed = normalize(X, mean, std)
     assert normed.dtype == np.float32 and normed.shape == X.shape
     np.testing.assert_allclose(normed.mean(axis=(0, 1)), 0.0, atol=1e-5)
     np.testing.assert_allclose(normed.std(axis=(0, 1)), 1.0, atol=1e-4)
 
 
-def test_normalize_ignores_test_fold_by_mutation(small_set):
-    """Corrupting the held-out subject's signals must not move the statistics."""
+def test_fit_ignores_held_out_windows(small_set):
+    """Corrupting the held-out subject's signals must move neither the fit's
+    statistics nor its trained weights."""
     _, samples = small_set
     train, test = loso_splits(samples)[0]
-    before = channel_stats(samples, train)
     mutated = samples.copy()
     mutated.signal[test] *= 1e6
-    after = channel_stats(mutated, train)
-    np.testing.assert_array_equal(before[0], after[0])
-    np.testing.assert_array_equal(before[1], after[1])
+    mcfg = tiny_config(seq_len=32, input_channels=len(DEFAULT_CHANNELS))
+    tcfg = TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=3)
+    model_a, _, mean_a, std_a = fit(samples, train, mcfg, tcfg)
+    model_b, _, mean_b, std_b = fit(mutated, train, mcfg, tcfg)
+    np.testing.assert_array_equal(mean_a, mean_b)
+    np.testing.assert_array_equal(std_a, std_b)
+    for a, b in zip(model_a.parameters(), model_b.parameters()):
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_normalize_constant_channel_no_nan():
@@ -289,7 +297,7 @@ def test_normalize_constant_channel_no_nan():
     samples.subject_id, samples.label = [0, 0, 1, 1], [0, 1, 0, 1]
     samples.signal[:, :, 1] = np.linspace(0, 1, 16)
     with pytest.warns(UserWarning, match="zero-variance"):
-        mean, std = channel_stats(samples, range(4))
+        mean, std = channel_stats(samples.signal)
     assert std[0] == 1.0
     normed = normalize(samples_to_arrays(samples, range(4))[0], mean, std)
     assert np.isfinite(normed).all()

@@ -270,12 +270,63 @@ def test_resume_refuses_foreign_state(tmp_path, n, overrides):
         train(model, X2, y2, replace(cfg, **overrides), resume=state)
 
 
-def test_val_metrics_logged():
-    X, y = _toy_data(n=16)
+def test_resume_refuses_other_weights(tmp_path):
+    """A train state resumes only onto the weights it was saved with."""
+    X, y = _toy_data(n=20)
+    cfg = quick_cfg(epochs=4, batch_size=4, lr=1e-3)
     model = init_parameters(tiny_config(), seed=0)
-    log = train(model, X, y, quick_cfg(epochs=2), X_val=X[:4], y_val=y[:4])
-    assert "val_acc" in log.records[-1]
-    assert "final_val_acc" in log.summary
+    train(model, X, y, cfg, stop_after_epoch=2, state_path=tmp_path / "state")
+    state = load_train_state(tmp_path / "state")
+    with pytest.raises(CheckpointError, match="other weights"):
+        train(init_parameters(tiny_config(), seed=123), X, y, cfg, resume=state)
+
+
+def _resaved(blob, tmp_path, edit):
+    """The state in blob with its arrays edited by edit(dict), saved again."""
+    src = tmp_path / "src.npz"
+    src.write_bytes(blob)
+    with np.load(src) as z:
+        arrays = dict(z)
+    edit(arrays)
+    np.savez(tmp_path / "edited.npz", **arrays)
+    return (tmp_path / "edited.npz").read_bytes()
+
+
+def _flip(blob, i):
+    b = bytearray(blob)
+    b[i] ^= 0x01
+    return bytes(b)
+
+
+CORRUPTIONS = {
+    "half": lambda b, t: b[:len(b) // 2],
+    "tail_cut": lambda b, t: b[:-5],
+    "garbage": lambda b, t: np.random.default_rng(0).bytes(100),
+    "empty": lambda b, t: b"",
+    "npy_header_flip": lambda b, t: _flip(b, b.index(b"\x93NUMPY") + 1),
+    "zip_header_flip": lambda b, t: _flip(b, 0),
+    "data_flip": lambda b, t: _flip(b, len(b) // 2),
+    "no_meta": lambda b, t: _resaved(b, t, lambda a: a.pop("__meta__")),
+    "no_moment": lambda b, t: _resaved(b, t, lambda a: a.pop("m.head.bias")),
+    "meta_not_json": lambda b, t: _resaved(b, t, lambda a: a.update(__meta__="{")),
+    "meta_not_dict": lambda b, t: _resaved(b, t, lambda a: a.update(__meta__="[]")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_corrupt_train_state_rejected(tmp_path, kind):
+    X, y = _toy_data(n=8)
+    train(init_parameters(tiny_config(), seed=0), X, y, quick_cfg(epochs=2),
+          stop_after_epoch=1, state_path=tmp_path / "state")
+    path = tmp_path / "state.npz"
+    path.write_bytes(CORRUPTIONS[kind](path.read_bytes(), tmp_path))
+    with pytest.raises(CheckpointError, match="not a valid train state"):
+        load_train_state(path)
+
+
+def test_missing_train_state_is_os_error(tmp_path):
+    with pytest.raises(OSError):
+        load_train_state(tmp_path / "absent")
 
 
 def test_grad_clip_off_is_identity_and_on_caps_norm():
