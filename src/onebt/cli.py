@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -31,15 +31,23 @@ _ERRORS = {"config": ConfigError, "data": DataError, "checkpoint": CheckpointErr
            "numeric": NumericError, "io": OSError}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSpec:
-    """Everything one run needs; JSON round-trips losslessly, unknown keys fatal."""
+    """Everything one run needs; JSON round-trips losslessly, unknown keys fatal.
+
+    The run seed is the training seed: building a spec copies it into train.
+    """
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     data: str | None = None
     task: str | None = None
     seed: int = 0
     out_dir: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "train", replace(self.train, seed=self.seed))
+        if self.task is not None:
+            Task.from_name(self.task)
 
     def to_dict(self):
         return {"model": self.model.to_dict(), "train": self.train.to_dict(),
@@ -51,9 +59,7 @@ class RunSpec:
         if isinstance(d, dict):
             d = dict(d, model=ModelConfig.from_dict(d.get("model", {})),
                      train=TrainConfig.from_dict(d.get("train", {})))
-        spec = config_from_dict(cls, d, "run spec")
-        spec.train.seed = spec.seed
-        return spec
+        return config_from_dict(cls, d, "run spec")
 
     @classmethod
     def from_file(cls, path):
@@ -90,36 +96,25 @@ def _write_meta(out_dir, command, spec, argv, extra=None):
 
 
 def _load_spec(args):
-    spec = RunSpec.from_file(args.config) if getattr(args, "config", None) else RunSpec()
-    if getattr(args, "data", None):
-        spec.data = args.data
-    if getattr(args, "task", None):
-        spec.task = args.task
-    if getattr(args, "seed", None) is not None:
-        spec.seed = args.seed
-        spec.train.seed = args.seed
-    if getattr(args, "epochs", None) is not None:
-        spec.train.epochs = args.epochs
-    if getattr(args, "out", None):
-        spec.out_dir = args.out
-    if spec.task is not None:
-        Task.from_name(spec.task)      # validate early
+    """The config file (or the defaults) with the command-line flags applied."""
+    spec = RunSpec.from_file(args.config) if args.config else RunSpec()
+    given = {"data": args.data, "task": args.task, "seed": args.seed, "out_dir": args.out}
+    given = {k: v for k, v in given.items() if v is not None}
+    if args.epochs is not None:
+        given["train"] = replace(spec.train, epochs=args.epochs)
+    spec = replace(spec, **given)
     if not spec.out_dir:
         raise ConfigError("--out is required")
-    spec.model.validate()
-    spec.train.validate()
     return spec
 
 
 def _require_data(spec):
+    """(spec, records), the spec's window geometry taken from the data."""
     if not spec.data:
         raise ConfigError("a dataset path is required (--data or the config file)")
     manifest, records = load_dataset(spec.data)
-    # the window geometry comes from the data, not the ablation preset
-    spec.model.seq_len = manifest.seq_len
-    spec.model.input_channels = manifest.n_channels
-    spec.model.validate()
-    return manifest, records
+    model = replace(spec.model, seq_len=manifest.seq_len, input_channels=manifest.n_channels)
+    return replace(spec, model=model), records
 
 
 def _jobs(args):
@@ -142,6 +137,8 @@ def _jobs(args):
 # commands
 
 def cmd_gen_data(args, argv):
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     spec = SynthSpec(n_subjects=args.subjects, samples_per_cell=args.per_level,
                      delta=args.delta, seq_len=args.seq_len,
                      sample_rate_hz=args.sample_rate)
@@ -155,8 +152,7 @@ def cmd_gen_data(args, argv):
 
 
 def cmd_train(args, argv):
-    spec = _load_spec(args)
-    manifest, records = _require_data(spec)
+    spec, records = _require_data(_load_spec(args))
     idx = np.arange(len(records))
     if spec.task is not None:
         idx = np.flatnonzero(records.task == Task.from_name(spec.task))
@@ -176,8 +172,7 @@ def cmd_train(args, argv):
 
 
 def cmd_loso(args, argv):
-    spec = _load_spec(args)
-    manifest, records = _require_data(spec)
+    spec, records = _require_data(_load_spec(args))
     jobs = _jobs(args)
     os.makedirs(spec.out_dir, exist_ok=True)
     folds, summary = run_loso(records, spec.model, spec.train,
@@ -237,16 +232,16 @@ def cmd_cost(args, argv):
 
 def cmd_sweep(args, argv):
     spec = _load_spec(args)
-    manifest, records = _require_data(spec)
+    presets = _preset_rows(args.preset)
+    spec, records = _require_data(spec)
     jobs = _jobs(args)
     os.makedirs(spec.out_dir, exist_ok=True)
 
     rows = []
     results = []
-    for table, label, preset in _preset_rows(args.preset):
-        cfg = ModelConfig.from_dict(dict(
-            preset.to_dict(), seq_len=manifest.seq_len,
-            input_channels=manifest.n_channels))
+    for table, label, preset in presets:
+        cfg = replace(preset, seq_len=spec.model.seq_len,
+                      input_channels=spec.model.input_channels)
         rep = cost_report(cfg)
         summaries = []
         for t, tname in enumerate(Task.names):

@@ -73,7 +73,6 @@ def _flop_breakdown(cfg):
 
 def cost_report(cfg):
     """Exact parameter count and conventioned FLOP estimate for one config."""
-    cfg.validate()
     pb = _param_breakdown(cfg)
     fb = _flop_breakdown(cfg)
     params = sum(pb.values())

@@ -215,7 +215,7 @@ def _read_sidecar_provenance(path):
 # ---------------------------------------------------------------------------
 # synthetic generation
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     """Generator knobs; defaults mirror the real recording design."""
     n_subjects: int = 11
@@ -234,23 +234,19 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.channel_names is None:
-            if self.n_channels == len(DEFAULT_CHANNELS):
-                self.channel_names = DEFAULT_CHANNELS
-            else:
-                self.channel_names = tuple(f"CH{i}" for i in range(self.n_channels))
-
-    def validate(self):
+            object.__setattr__(self, "channel_names", DEFAULT_CHANNELS
+                               if self.n_channels == len(DEFAULT_CHANNELS)
+                               else tuple(f"CH{i}" for i in range(self.n_channels)))
         if not 1 <= self.n_subjects <= 0xFFFF or self.samples_per_cell < 1:
             raise DataError("n_subjects must be in 1..65535 and samples_per_cell >= 1")
         if self.seq_len < 2 or self.n_channels < 1:
             raise DataError("seq_len must be >= 2 and n_channels >= 1")
-        if self.delta < 0:
-            raise DataError(f"delta must be >= 0, got {self.delta}")
+        if not 0 <= self.delta < np.inf:       # False for NaN
+            raise DataError(f"delta must be finite and >= 0, got {self.delta}")
         if not 0 < self.band[0] < self.band[1]:
             raise DataError(f"band must be increasing and positive, got {self.band}")
         if any(not 0 <= ch < self.n_channels for ch in self.target_channels):
             raise DataError("target_channels out of range")
-        return self
 
 
 def _pink_noise(rng, n, exponent):
@@ -286,7 +282,6 @@ def _window(rng, spec, hard):
 
 def generate_synthetic(spec, seed=0):
     """Deterministic synthetic dataset; returns (manifest, records)."""
-    spec.validate()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     gains = rng.normal(1.0, spec.subject_gain_std,
                        size=(spec.n_subjects, spec.n_channels))
@@ -324,8 +319,11 @@ def loso_splits(records, task=None):
 
 def channel_stats(X):
     """Per-channel mean and std over windows X [n, L, C] (zero std becomes 1)."""
-    mean = X.mean(axis=(0, 1))
-    std = X.std(axis=(0, 1))
+    mean = X.mean(axis=(0, 1), keepdims=True)
+    d = X - mean                       # X.std would take the mean over X again
+    d *= d
+    std = np.sqrt(d.mean(axis=(0, 1)))
+    mean = mean[0, 0]
     zero = std == 0.0
     if zero.any():
         warnings.warn(f"{int(zero.sum())} zero-variance channel(s); using divisor 1")

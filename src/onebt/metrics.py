@@ -1,16 +1,17 @@
 """Classification metrics and fold aggregation.
 
-Conventions, all configurable: confusion rows are true labels and columns
-predictions; the positive class is "hard" (label 1); precision/F1 are
-binary on the positive class (macro available); the ± bands are population
-standard deviations. Scores are kept as fractions in [0, 1] and scaled by
-100 only when rendered.
+Conventions: confusion rows are true labels and columns predictions;
+precision/F1 are binary on the "hard" class (label 1); the ± bands are
+population standard deviations. Scores are kept as fractions in [0, 1] and
+scaled by 100 only when rendered.
 """
 
 import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
+
+from .data import HARD
 
 __all__ = [
     "FoldResult", "RunSummary",
@@ -41,10 +42,6 @@ class RunSummary:
     precision_std: float
     f1_mean: float
     f1_std: float
-    cross_task_mean: float | None = None
-
-    def metric_means(self):
-        return (self.accuracy_mean, self.precision_mean, self.f1_mean)
 
 
 def confusion_matrix(y_true, y_pred, n_classes=2):
@@ -55,28 +52,10 @@ def confusion_matrix(y_true, y_pred, n_classes=2):
     return conf
 
 
-def _prec_f1(conf, positive):
-    tp = conf[positive, positive]
-    fp = conf[:, positive].sum() - tp
-    fn = conf[positive, :].sum() - tp
-    degenerate = False
-    if tp + fp == 0:
-        precision, degenerate = 0.0, True
-    else:
-        precision = tp / (tp + fp)
-    recall = 0.0 if tp + fn == 0 else tp / (tp + fn)
-    if precision + recall == 0:
-        f1, degenerate = 0.0, True
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
-    return float(precision), float(f1), degenerate
-
-
-def compute_metrics(conf, positive=1, average="binary"):
-    """(accuracy, precision, f1, degenerate) from a confusion matrix.
-
-    average="binary" scores the positive class; "macro" averages the
-    per-class scores. Zero denominators give 0 and set the degenerate flag.
+def compute_metrics(conf):
+    """(accuracy, precision, f1, degenerate) from a confusion matrix, with
+    precision and F1 scored on the hard class. Zero denominators give 0 and
+    set the degenerate flag.
     """
     conf = np.asarray(conf)
     if conf.ndim != 2 or conf.shape[0] != conf.shape[1] or conf.size == 0:
@@ -87,33 +66,27 @@ def compute_metrics(conf, positive=1, average="binary"):
     if total == 0:
         raise ValueError("confusion matrix is all zeros")
     accuracy = float(np.trace(conf) / total)
-    if average == "binary":
-        precision, f1, degenerate = _prec_f1(conf, positive)
-    elif average == "macro":
-        parts = [_prec_f1(conf, k) for k in range(conf.shape[0])]
-        precision = float(np.mean([p for p, _, _ in parts]))
-        f1 = float(np.mean([f for _, f, _ in parts]))
-        degenerate = any(d for _, _, d in parts)
-    else:
-        raise ValueError(f"unknown average {average!r}")
-    return accuracy, precision, f1, degenerate
+    tp = conf[HARD, HARD]
+    fp = conf[:, HARD].sum() - tp
+    fn = conf[HARD, :].sum() - tp
+    precision = 0.0 if tp + fp == 0 else tp / (tp + fp)
+    recall = 0.0 if tp + fn == 0 else tp / (tp + fn)
+    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    degenerate = bool(tp + fp == 0 or precision + recall == 0)
+    return accuracy, float(precision), float(f1), degenerate
 
 
-def fold_result(fold_id, conf, positive=1, average="binary"):
-    return FoldResult(fold_id, np.asarray(conf), *compute_metrics(conf, positive, average))
+def fold_result(fold_id, conf):
+    return FoldResult(fold_id, np.asarray(conf), *compute_metrics(conf))
 
 
-def aggregate(folds, config_id="", task=None, std="population"):
-    """Mean and spread of each metric over folds."""
+def aggregate(folds, config_id="", task=None):
+    """Mean and population std of each metric over folds."""
     if not folds:
         raise ValueError("aggregate needs at least one fold")
-    if std not in ("population", "sample"):
-        raise ValueError(f"std must be 'population' or 'sample', got {std!r}")
-    ddof = 0 if std == "population" else 1
     vals = {name: np.array([getattr(f, name) for f in folds])
             for name in ("accuracy", "precision", "f1")}
-    sd = {name: (0.0 if len(folds) == 1 else float(v.std(ddof=ddof)))
-          for name, v in vals.items()}
+    sd = {name: float(v.std()) for name, v in vals.items()}
     return RunSummary(
         config_id=config_id, task=task, n_folds=len(folds),
         accuracy_mean=float(vals["accuracy"].mean()), accuracy_std=sd["accuracy"],
@@ -126,7 +99,7 @@ def cross_task_mean(summaries):
     """Mean of the nine per-task metric means (3 tasks x 3 metrics)."""
     if len(summaries) != 3:
         raise ValueError(f"cross_task_mean needs exactly 3 task summaries, got {len(summaries)}")
-    nine = [m for s in summaries for m in s.metric_means()]
+    nine = [m for s in summaries for m in (s.accuracy_mean, s.precision_mean, s.f1_mean)]
     return float(np.mean(nine))
 
 

@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     num_latents: int = 16
     latent_dim: int = 128
@@ -51,7 +51,7 @@ class ModelConfig:
         """Channels plus interleaved sin/cos per band plus the raw position."""
         return self.input_channels + 2 * self.num_freq_bands + 1
 
-    def validate(self):
+    def __post_init__(self):
         positive = ("num_latents", "latent_dim", "cross_heads", "self_heads",
                     "cross_head_dim", "self_head_dim", "num_freq_bands",
                     "input_channels", "ff_mult")
@@ -71,14 +71,13 @@ class ModelConfig:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {v}")
-        return self
 
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return config_from_dict(cls, d, "model config").validate()
+        return config_from_dict(cls, d, "model config")
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +308,6 @@ class SelfBlock:
 
 class OneBlockTransformer:
     def __init__(self, cfg, seed=0, dtype=np.float32):
-        cfg.validate()
         self.cfg = cfg
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         reg = _Registry(rng, dtype)
@@ -356,8 +354,6 @@ class OneBlockTransformer:
         for block in self.blocks:
             lat = block(lat, self.cfg, training, rng)
         pooled = mean_axis(self.final_norm(lat), -2)
-        if pooled.ndim == 1:    # unbatched window: [d] -> [num_classes]
-            return reshape(self.head(reshape(pooled, (1, -1))), (self.cfg.num_classes,))
         return self.head(pooled)
 
 

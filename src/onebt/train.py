@@ -24,7 +24,7 @@ __all__ = ["TrainConfig", "TrainLog", "AdamW", "cosine_lr", "train",
            "save_train_state", "load_train_state", "evaluate_confusion"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-4
     weight_decay: float = 0.05
@@ -39,7 +39,9 @@ class TrainConfig:
     aug_noise_sigma: float = 0.0        # gaussian noise, relative to per-channel std
     aug_cutout_frac: float = 0.0        # zeroed fraction of the window
 
-    def validate(self):
+    def __post_init__(self):
+        # a list from a config file compares and hashes like the default tuple
+        object.__setattr__(self, "betas", tuple(self.betas))
         # a chained comparison is False for NaN, and the `< inf` bound rejects inf
         for name in ("lr", "eps"):
             if not 0.0 < getattr(self, name) < math.inf:
@@ -51,6 +53,8 @@ class TrainConfig:
             raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.aug_cutout_frac < 1.0:
@@ -60,7 +64,6 @@ class TrainConfig:
         if len(self.betas) != 2 or not all(isinstance(b, (int, float)) and 0.0 <= b < 1.0
                                            for b in self.betas):
             raise ConfigError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
-        return self
 
     def to_dict(self):
         d = asdict(self)
@@ -69,9 +72,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        cfg = config_from_dict(cls, d, "train config")
-        cfg.betas = tuple(cfg.betas)
-        return cfg.validate()
+        return config_from_dict(cls, d, "train config")
 
 
 @dataclass
@@ -187,7 +188,6 @@ def train(model, X, y, cfg, stop_after_epoch=None, state_path=None, resume=None)
     stopped run on the same trajectory; a state saved under another config,
     data size or weights raises CheckpointError.
     """
-    cfg.validate()
     n = len(X)
     if n == 0:
         raise DataError("training split is empty")

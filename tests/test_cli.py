@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from onebt.checkpoint import load_model
 from onebt.cli import main, RunSpec, EXIT_CODES
-from onebt.data import load_dataset
+from onebt.data import DataError, load_dataset
 from onebt.tensor import ConfigError
 from reference_tables import PUBLISHED
 
@@ -116,6 +117,15 @@ def test_corrupt_channel_name_exits_data(dataset, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bad_task_in_config_file_exits_data_despite_task_flag(dataset, tmp_path):
+    """The file is checked in full when it is read, so --task cannot mask it."""
+    out = tmp_path / "x"
+    rc = main(["train", "--config", _spec_file(tmp_path, task="FOO"), "--data", dataset,
+               "--task", "IQ", "--out", str(out)])
+    assert rc == EXIT_CODES["data"]
+    assert not out.exists()
+
+
 def test_train_missing_out_exits_config(dataset, tmp_path):
     rc = main(["train", "--config", _spec_file(tmp_path), "--data", dataset])
     assert rc == EXIT_CODES["config"]
@@ -168,6 +178,27 @@ def test_bad_override_exits_config_without_out_dir(dataset, tmp_path, argv):
                "--task", "IQ", "--out", str(out)])
     assert rc == EXIT_CODES["config"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "loso", "sweep"])
+def test_negative_seed_exits_config_and_writes_nothing(dataset, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    rest = ["--out", str(out)] if command == "gen-data" else [
+        "--config", _spec_file(tmp_path), "--data", dataset, "--out", str(out)]
+    rc = main([command, "--seed", "-1", *rest])
+    assert rc == EXIT_CODES["config"]
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "seed" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] in ([], ["spec.json"])
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_gen_data_nonfinite_delta_exits_data_and_writes_nothing(tmp_path, capsys, delta):
+    rc = main(["gen-data", "--subjects", "2", "--per-level", "1", "--seq-len", "16",
+               "--delta", delta, "--out", str(tmp_path / "d.eeg")])
+    assert rc == EXIT_CODES["data"]
+    assert "error[data]: delta" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +330,14 @@ def test_cost_unknown_preset_exits_config(capsys):
 # ---------------------------------------------------------------------------
 # sweep
 
+def test_sweep_unknown_preset_exits_config_without_out_dir(dataset, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--preset", "nope", "--data", dataset, "--out", str(out)])
+    assert rc == EXIT_CODES["config"]
+    assert "unknown preset" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_tiny(dataset, tmp_path, capsys):
     out = tmp_path / "sweep"
     rc = main(["sweep", "--preset", "table4", "--data", dataset,
@@ -327,6 +366,20 @@ def test_runspec_round_trip(tmp_path):
     spec.save(path)
     again = RunSpec.from_file(path)
     assert again.to_dict() == spec.to_dict()
+
+
+def test_runspec_is_frozen_and_replace_rechecks():
+    spec = RunSpec.from_dict(dict(TINY_SPEC, seed=5, task="IQ"))
+    assert spec.train.seed == 5                 # the run seed is the training seed
+    assert RunSpec.from_dict(spec.to_dict()) == spec
+    for target, name in ((spec, "seed"), (spec.train, "seed"), (spec.model, "seq_len")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(target, name, 1)
+    assert replace(spec, seed=9).train.seed == 9
+    with pytest.raises(ConfigError, match="seed"):
+        replace(spec, seed=-1)
+    with pytest.raises(DataError, match="unknown task"):
+        replace(spec, task="FOO")
 
 
 def test_runspec_rejects_unknown_keys():

@@ -2,6 +2,7 @@
 splitting, and leakage-proof normalization through harness.fit."""
 
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -96,15 +97,25 @@ def test_generator_delta_raises_band_power():
 
 def test_spec_validation():
     with pytest.raises(DataError):
-        small_spec(delta=-0.5).validate()
+        small_spec(delta=-0.5)
     with pytest.raises(DataError):
-        small_spec(band=(7.0, 4.0)).validate()
+        small_spec(band=(7.0, 4.0))
     with pytest.raises(DataError):
-        SynthSpec(n_subjects=0).validate()
+        SynthSpec(n_subjects=0)
     with pytest.raises(DataError):
-        small_spec(target_channels=(99,)).validate()
+        small_spec(target_channels=(99,))
     with pytest.raises(DataError, match="65535"):      # subject ids are stored as uint16
-        SynthSpec(n_subjects=70000).validate()
+        SynthSpec(n_subjects=70000)
+
+
+def test_spec_is_frozen_and_replace_rechecks():
+    spec = small_spec()
+    with pytest.raises(FrozenInstanceError):
+        spec.delta = 2.0
+    for delta in (float("nan"), float("inf")):
+        with pytest.raises(DataError, match="delta"):
+            replace(spec, delta=delta)
+    assert replace(spec, delta=0.0).channel_names == DEFAULT_CHANNELS
 
 
 # ---------------------------------------------------------------------------

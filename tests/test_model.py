@@ -1,5 +1,7 @@
 """Tokenizer values, architectural invariances, and init determinism."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -179,23 +181,32 @@ def test_grad_latent_cross_attention(rng, heads):
 
 def test_model_config_validation():
     with pytest.raises(ConfigError):
-        ModelConfig(num_latents=0).validate()
+        ModelConfig(num_latents=0)
     with pytest.raises(ConfigError):
-        ModelConfig(attn_dropout=1.0).validate()
+        ModelConfig(attn_dropout=1.0)
     with pytest.raises(ConfigError):
-        ModelConfig(self_per_cross=-1).validate()
+        ModelConfig(self_per_cross=-1)
     with pytest.raises(ConfigError, match="num_classes"):     # labels are 0..1
-        ModelConfig(num_classes=1).validate()
+        ModelConfig(num_classes=1)
     with pytest.raises(ConfigError):
         ModelConfig.from_dict({"latent_size": 64})
     d = tiny_config().to_dict()
     assert ModelConfig.from_dict(d) == tiny_config()
 
 
+def test_model_config_is_frozen_and_replace_rechecks():
+    model = init_parameters(tiny_config(), seed=0)
+    with pytest.raises(FrozenInstanceError):
+        model.cfg.latent_dim = 16       # would save a checkpoint its weights contradict
+    with pytest.raises(ConfigError, match="num_latents"):
+        replace(tiny_config(), num_latents=0)
+    assert ModelConfig.from_dict(ModelConfig().to_dict()) == ModelConfig()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_model_config_rejects_nonfinite_max_freq(value):
     with pytest.raises(ConfigError, match="max_freq"):
-        ModelConfig(max_freq=value).validate()
+        ModelConfig(max_freq=value)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 bitwise determinism, exact resume, and the learning smoke tests."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -362,19 +362,34 @@ def test_augmentations_off_by_default_and_change_training():
 
 def test_train_config_validation_and_round_trip():
     with pytest.raises(ConfigError):
-        TrainConfig(lr=0.0).validate()
+        TrainConfig(lr=0.0)
     with pytest.raises(ConfigError):
-        TrainConfig(label_smoothing=1.0).validate()
+        TrainConfig(label_smoothing=1.0)
     with pytest.raises(ConfigError):
-        TrainConfig(epochs=0).validate()
+        TrainConfig(epochs=0)
     for clip in (0, -1.0):      # a negative cap would turn clipped steps into ascent
         with pytest.raises(ConfigError, match="grad_clip"):
-            TrainConfig(grad_clip=clip).validate()
+            TrainConfig(grad_clip=clip)
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"learning_rate": 1e-4})
     cfg = TrainConfig(lr=2e-4, betas=(0.8, 0.95))
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
     assert TrainConfig().to_dict()["betas"] == [0.9, 0.999]
+
+
+def test_train_config_is_frozen_and_replace_rechecks():
+    cfg = TrainConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.epochs = 5
+    with pytest.raises(ConfigError, match="epochs"):
+        replace(cfg, epochs=0)
+    for seed in (-1, 1.5, "3"):
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=seed)
+    # betas read from a file (a list) give an equal config with the same hash
+    loaded = TrainConfig.from_dict(dict(cfg.to_dict(), seed=7))
+    assert loaded.betas == (0.9, 0.999)
+    assert loaded == replace(cfg, seed=7) and hash(loaded) == hash(replace(cfg, seed=7))
 
 
 @pytest.mark.parametrize("field,value", [
@@ -384,7 +399,7 @@ def test_train_config_validation_and_round_trip():
 ])
 def test_train_config_rejects_nonfinite_and_out_of_range(field, value):
     with pytest.raises(ConfigError, match=field):
-        TrainConfig(**{field: value}).validate()
+        TrainConfig(**{field: value})
 
 
 def test_paper_defaults():
