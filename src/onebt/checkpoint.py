@@ -53,8 +53,8 @@ def _need(f, n, what):
     return buf
 
 
-def load_model(path, expected_cfg=None, dtype=np.float32):
-    """Rebuild a model from a checkpoint.
+def load_model(path, expected_cfg=None):
+    """Rebuild a float32 model from a checkpoint.
 
     If expected_cfg is given, the stored config must match it exactly.
     """
@@ -73,7 +73,7 @@ def load_model(path, expected_cfg=None, dtype=np.float32):
     if expected_cfg is not None and cfg != expected_cfg:
         raise CheckpointError("checkpoint config does not match the expected config")
 
-    model = init_parameters(cfg, seed=0, dtype=dtype)
+    model = init_parameters(cfg, seed=0)
     expected = {p.name: p for p in model.parameters()}
     (n_params,) = struct.unpack("<I", _need(f, 4, "parameter count"))
     if n_params != len(expected):
@@ -96,7 +96,7 @@ def load_model(path, expected_cfg=None, dtype=np.float32):
                 f"parameter {name!r} has shape {shape}, config implies {p.data.shape}")
         count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
         raw = _need(f, 4 * count, f"{name} data")
-        p.data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(dtype)
+        p.data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
     trailing = f.read()
     if trailing:
         raise CheckpointError(f"{len(trailing)} unexpected trailing bytes")

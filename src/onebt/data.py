@@ -11,7 +11,7 @@ narrow band on a subset of channels.
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,8 +49,16 @@ class DataError(ValueError):
 
 def record_dtype(seq_len, n_channels):
     """One window as stored on disk (packed, little-endian, 4 + 4*L*C bytes)."""
-    return np.dtype([("subject_id", "<u2"), ("task", "u1"), ("label", "u1"),
-                     ("signal", "<f4", (seq_len, n_channels))])
+    try:
+        return np.dtype([("subject_id", "<u2"), ("task", "u1"), ("label", "u1"),
+                         ("signal", "<f4", (seq_len, n_channels))])
+    except ValueError as e:          # e.g. a record over numpy's C-int size cap
+        raise DataError(f"cannot store a {seq_len} x {n_channels} window as one record: {e}") from None
+
+
+def _check_rate(sample_rate_hz):
+    if not isinstance(sample_rate_hz, (int, np.integer)) or not 0 < sample_rate_hz < 2**32:
+        raise DataError(f"sample_rate_hz must be an integer in 1..2^32-1, got {sample_rate_hz!r}")
 
 
 @dataclass
@@ -123,8 +131,7 @@ def save_dataset(path, records, sample_rate_hz, channel_names, provenance=""):
             raise DataError(f"channel name {name!r} is not ASCII") from None
         if len(raw_names[-1]) > 255:
             raise DataError(f"channel name {name!r} is longer than 255 bytes")
-    if not isinstance(sample_rate_hz, (int, np.integer)) or not 0 < sample_rate_hz < 2**32:
-        raise DataError(f"sample_rate_hz must be an integer in 1..2^32-1, got {sample_rate_hz!r}")
+    _check_rate(sample_rate_hz)
     # every check runs before the file is opened, so a bad window leaves no torn file
     _check_windows(records)
     manifest = _build_manifest(records, sample_rate_hz, channel_names, provenance)
@@ -176,6 +183,8 @@ def load_dataset(path):
     version, n, L, C, rate, n_subj = struct.unpack_from("<6I", buf, 4)
     if version != VERSION:
         raise DataError(f"unsupported dataset version {version} at byte offset 4")
+    if n == 0:
+        raise DataError("dataset holds no windows")
     names = []
     for i in range(C):
         _need(buf, off, 1, f"channel {i} name length")
@@ -215,65 +224,57 @@ def _read_sidecar_provenance(path):
 # ---------------------------------------------------------------------------
 # synthetic generation
 
+# the hard class adds power in this band on the frontal channels
+BAND = (4.0, 7.0)
+TARGET_CHANNELS = (0, 1, 2, 11, 12, 13)
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Generator knobs; defaults mirror the real recording design."""
     n_subjects: int = 11
     samples_per_cell: int = 12          # per (subject, task, level)
     seq_len: int = 1280
-    n_channels: int = 14
     sample_rate_hz: int = 128
     delta: float = 1.0                  # class-separation knob, 0 = no signal
-    band: tuple = (4.0, 7.0)            # extra-power band for the hard class
-    target_channels: tuple = (0, 1, 2, 11, 12, 13)   # frontal subset
     amplitude_scale: float = 2.0        # hard-class amplitude per unit delta, in base-sigma units
-    subject_gain_std: float = 0.1
-    base_components: int = 6
-    noise_exponent: float = 1.0
-    channel_names: tuple = field(default=None)
 
     def __post_init__(self):
-        if self.channel_names is None:
-            object.__setattr__(self, "channel_names", DEFAULT_CHANNELS
-                               if self.n_channels == len(DEFAULT_CHANNELS)
-                               else tuple(f"CH{i}" for i in range(self.n_channels)))
         if not 1 <= self.n_subjects <= 0xFFFF or self.samples_per_cell < 1:
             raise DataError("n_subjects must be in 1..65535 and samples_per_cell >= 1")
-        if self.seq_len < 2 or self.n_channels < 1:
-            raise DataError("seq_len must be >= 2 and n_channels >= 1")
+        if self.seq_len < 2:
+            raise DataError("seq_len must be >= 2")
+        record_dtype(self.seq_len, len(DEFAULT_CHANNELS))     # DataError if a window cannot fit
         if not 0 <= self.delta < np.inf:       # False for NaN
             raise DataError(f"delta must be finite and >= 0, got {self.delta}")
-        if not 0 < self.band[0] < self.band[1]:
-            raise DataError(f"band must be increasing and positive, got {self.band}")
-        if any(not 0 <= ch < self.n_channels for ch in self.target_channels):
-            raise DataError("target_channels out of range")
+        _check_rate(self.sample_rate_hz)
 
 
-def _pink_noise(rng, n, exponent):
-    """Noise with power spectrum 1/f^exponent, unit variance."""
+def _pink_noise(rng, n):
+    """Noise with a 1/f power spectrum, unit variance."""
     white = rng.standard_normal(n)
     spec = np.fft.rfft(white)
     f = np.fft.rfftfreq(n)
     f[0] = f[1]
-    spec *= f ** (-exponent / 2.0)
+    spec *= f ** -0.5
     x = np.fft.irfft(spec, n)
     return x / x.std()
 
 
 def _window(rng, spec, hard):
     t = np.arange(spec.seq_len) / spec.sample_rate_hz
-    sig = np.empty((spec.seq_len, spec.n_channels))
-    for ch in range(spec.n_channels):
-        base = _pink_noise(rng, spec.seq_len, spec.noise_exponent)
-        for _ in range(spec.base_components):
+    sig = np.empty((spec.seq_len, len(DEFAULT_CHANNELS)))
+    for ch in range(len(DEFAULT_CHANNELS)):
+        base = _pink_noise(rng, spec.seq_len)
+        for _ in range(6):                          # background sinusoids
             freq = rng.uniform(1.0, 45.0)
             amp = rng.uniform(0.2, 1.0)
             base = base + amp * np.sin(2 * np.pi * freq * t + rng.uniform(0, 2 * np.pi))
         # the class band is drawn for both labels so easy/hard consume the
         # same stream; only the amplitude differs (zero for easy)
-        freq = rng.uniform(*spec.band)
+        freq = rng.uniform(*BAND)
         phase = rng.uniform(0, 2 * np.pi)
-        if ch in spec.target_channels:
+        if ch in TARGET_CHANNELS:
             amp = (spec.delta if hard else 0.0) * spec.amplitude_scale * base.std()
             base = base + amp * np.sin(2 * np.pi * freq * t + phase)
         sig[:, ch] = base
@@ -283,18 +284,18 @@ def _window(rng, spec, hard):
 def generate_synthetic(spec, seed=0):
     """Deterministic synthetic dataset; returns (manifest, records)."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    gains = rng.normal(1.0, spec.subject_gain_std,
-                       size=(spec.n_subjects, spec.n_channels))
+    C = len(DEFAULT_CHANNELS)
+    gains = rng.normal(1.0, 0.1, size=(spec.n_subjects, C))    # per-subject channel gain
     records = np.zeros(spec.n_subjects * 6 * spec.samples_per_cell,
-                       record_dtype(spec.seq_len, spec.n_channels)).view(np.recarray)
+                       record_dtype(spec.seq_len, C)).view(np.recarray)
     # subject-major, then task, label and repeat: the order windows are drawn in
     grid = np.indices((spec.n_subjects, 3, 2, spec.samples_per_cell)).reshape(4, -1)
     records.subject_id, records.task, records.label = grid[:3]
     signal = records.signal
     for i, (subj, label) in enumerate(zip(records.subject_id, records.label)):
         signal[i] = _window(rng, spec, hard=(label == HARD)) * gains[subj]
-    manifest = _build_manifest(records, spec.sample_rate_hz, spec.channel_names,
-                               f"synthetic delta={spec.delta} band={spec.band} seed={seed}")
+    manifest = _build_manifest(records, spec.sample_rate_hz, DEFAULT_CHANNELS,
+                               f"synthetic delta={spec.delta} band={BAND} seed={seed}")
     return manifest, records
 
 

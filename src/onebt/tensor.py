@@ -264,7 +264,7 @@ def scale(a, s):
     out = a.data * s
 
     def bwd(g):
-        return (g * s if a.requires_grad else None,)
+        return (g * s,)
 
     return _make(out, (a,), bwd)
 
@@ -277,8 +277,6 @@ def gelu(a):
     out = 0.5 * x * (1.0 + inner)
 
     def bwd(g):
-        if not a.requires_grad:
-            return (None,)
         local = 0.5 * (1.0 + inner) + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
         return (g * local,)
 
@@ -295,8 +293,6 @@ def softmax_rows(a):
     p = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        if not a.requires_grad:
-            return (None,)
         dot = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - dot),)
 
@@ -342,8 +338,6 @@ def mean_axis(x, axis):
     out = x.data.mean(axis=axis)
 
     def bwd(g):
-        if not x.requires_grad:
-            return (None,)
         return (np.broadcast_to(np.expand_dims(g, axis) / n, x.shape).copy(),)
 
     return _make(out, (x,), bwd)
@@ -364,7 +358,7 @@ def dropout(x, rate, training, rng=None):
     out = x.data * mask
 
     def bwd(g):
-        return (g * mask if x.requires_grad else None,)
+        return (g * mask,)
 
     return _make(out, (x,), bwd)
 
@@ -377,7 +371,7 @@ def reshape(x, shape):
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}") from e
 
     def bwd(g):
-        return (g.reshape(x.shape) if x.requires_grad else None,)
+        return (g.reshape(x.shape),)
 
     return _make(out, (x,), bwd)
 
@@ -387,7 +381,7 @@ def swap_axes(x, axis1, axis2):
     out = np.swapaxes(x.data, axis1, axis2)      # a view; no op writes into its input
 
     def bwd(g):
-        return (np.swapaxes(g, axis1, axis2) if x.requires_grad else None,)
+        return (np.swapaxes(g, axis1, axis2),)
 
     return _make(out, (x,), bwd)
 
@@ -420,8 +414,6 @@ def cross_entropy_label_smoothed(logits, labels, smoothing=0.0):
     loss = -(q * logp).sum(axis=-1).mean()
 
     def bwd(g):
-        if not logits.requires_grad:
-            return (None,)
         p = np.exp(logp)
         return ((p - q) * (g / b),)
 
@@ -461,9 +453,7 @@ def backward(loss):
     # intermediate's gradient is dropped as soon as its op has consumed it
     local = {id(loss): np.ones_like(loss.data)}
     for t in reversed(order):
-        g = local.pop(id(t), None)
-        if g is None:
-            continue
+        g = local.pop(id(t))
         if t.node is None:
             _accumulate(t, g)
             continue

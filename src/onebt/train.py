@@ -170,12 +170,12 @@ def _rng_streams(seed):
     return tuple(np.random.Generator(np.random.Philox(k)) for k in kids)
 
 
-def evaluate_confusion(model, X, y, batch_size=64):
+def evaluate_confusion(model, X, y):
     """Confusion matrix (rows = true, cols = predicted) of eval-mode
-    predictions over X, in batches."""
+    predictions over X, in batches of 64."""
     pred = np.concatenate([
-        np.argmax(model.forward(X[i:i + batch_size], training=False).data, axis=-1)
-        for i in range(0, len(X), batch_size)])
+        np.argmax(model.forward(X[i:i + 64], training=False).data, axis=-1)
+        for i in range(0, len(X), 64)])
     return confusion_matrix(y, pred, model.cfg.num_classes)
 
 

@@ -1,5 +1,7 @@
 """Checkpoint container: bitwise round-trip and rejection of malformed files."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -77,3 +79,87 @@ def test_default_config_round_trip(tmp_path):
     model = init_parameters(ModelConfig(seq_len=64), seed=3)
     save_model(model, tmp_path / "m.ckpt")
     assert load_model(tmp_path / "m.ckpt").cfg == ModelConfig(seq_len=64)
+
+
+def _split(blob):
+    """(config JSON, parameter records as (name, shape, data bytes)) of a checkpoint."""
+    (cfg_len,) = struct.unpack_from("<I", blob, 8)
+    off = 12 + cfg_len
+    (n,) = struct.unpack_from("<I", blob, off)
+    off += 4
+    records = []
+    for _ in range(n):
+        (name_len,) = struct.unpack_from("<H", blob, off)
+        name = blob[off + 2:off + 2 + name_len].decode()
+        off += 2 + name_len
+        ndim = blob[off]
+        shape = struct.unpack_from(f"<{ndim}I", blob, off + 1)
+        off += 1 + 4 * ndim
+        size = 4 * int(np.prod(shape, dtype=np.int64))
+        records.append((name, shape, blob[off:off + size]))
+        off += size
+    return blob[12:12 + cfg_len], records
+
+
+def _join(cfg, records, count=None, version=1):
+    out = b"OBTC" + struct.pack("<II", version, len(cfg)) + cfg
+    out += struct.pack("<I", len(records) if count is None else count)
+    for name, shape, data in records:
+        raw = name.encode()
+        out += struct.pack("<H", len(raw)) + raw + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+        out += data
+    return out
+
+
+@pytest.fixture
+def good_checkpoint(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_model(init_parameters(tiny_config(), seed=0), p)
+    cfg, records = _split(p.read_bytes())
+    assert _join(cfg, records) == p.read_bytes()
+    return p, cfg, records
+
+
+def _rejects(p, blob, match):
+    p.write_bytes(blob)
+    with pytest.raises(CheckpointError, match=match):
+        load_model(p)
+
+
+def test_unsupported_version_rejected(good_checkpoint):
+    p, cfg, records = good_checkpoint
+    _rejects(p, _join(cfg, records, version=2), "version 2")
+
+
+@pytest.mark.parametrize("cfg", [b"{not json", b"\xff", b'{"nope": 1}', b'{"num_latents": 0}'])
+def test_malformed_embedded_config_rejected(good_checkpoint, cfg):
+    p, _, records = good_checkpoint
+    _rejects(p, _join(cfg, records), "malformed embedded config")
+
+
+def test_parameter_count_mismatch_rejected(good_checkpoint):
+    p, cfg, records = good_checkpoint
+    _rejects(p, _join(cfg, records, count=len(records) + 1),
+             f"holds {len(records) + 1} parameters")
+
+
+def test_unknown_parameter_name_rejected(good_checkpoint):
+    p, cfg, records = good_checkpoint
+    records[0] = ("bogus",) + records[0][1:]
+    _rejects(p, _join(cfg, records), "unknown parameter 'bogus'")
+
+
+def test_duplicate_parameter_name_rejected(good_checkpoint):
+    p, cfg, records = good_checkpoint
+    records[1] = records[0]
+    _rejects(p, _join(cfg, records), "duplicate parameter")
+
+
+def test_parameter_shape_mismatch_rejected(good_checkpoint):
+    """The transposed shape holds as many values, so only the shape check can catch it."""
+    p, cfg, records = good_checkpoint
+    i = next(i for i, (_, shape, _) in enumerate(records)
+             if len(shape) == 2 and shape[0] != shape[1])
+    name, shape, data = records[i]
+    records[i] = (name, shape[::-1], data)
+    _rejects(p, _join(cfg, records), f"parameter {name!r} has shape")

@@ -3,6 +3,7 @@ published cost table through the user-facing entry point."""
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, replace
@@ -199,6 +200,31 @@ def test_gen_data_nonfinite_delta_exits_data_and_writes_nothing(tmp_path, capsys
     assert rc == EXIT_CODES["data"]
     assert "error[data]: delta" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--sample-rate", "0", "sample_rate_hz"), ("--seq-len", "100000000", "cannot store"),
+])
+def test_gen_data_bad_window_exits_data_before_generating(tmp_path, capsys, flag, value, named):
+    rc = main(["gen-data", "--subjects", "2", "--per-level", "1", "--seq-len", "16",
+               flag, value, "--out", str(tmp_path / "d.eeg")])
+    assert rc == EXIT_CODES["data"]
+    err = capsys.readouterr().err
+    assert err.startswith("error[data]") and named in err and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["train", "loso", "sweep"])
+def test_zero_window_dataset_exits_data(tmp_path, capsys, command):
+    empty = tmp_path / "empty.eeg"
+    empty.write_bytes(b"OBT1" + struct.pack("<6I", 1, 0, 16, 1, 128, 0)
+                      + struct.pack("<B", 1) + b"A")
+    out = tmp_path / "out"
+    rc = main([command, "--data", str(empty), "--out", str(out)])
+    assert rc == EXIT_CODES["data"]
+    err = capsys.readouterr().err
+    assert err == "error[data]: dataset holds no windows\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Dataset module: binary format round-trips, generator properties, LOSO
 splitting, and leakage-proof normalization through harness.fit."""
 
+import struct
 import warnings
 from dataclasses import FrozenInstanceError, replace
 
@@ -99,13 +100,18 @@ def test_spec_validation():
     with pytest.raises(DataError):
         small_spec(delta=-0.5)
     with pytest.raises(DataError):
-        small_spec(band=(7.0, 4.0))
-    with pytest.raises(DataError):
         SynthSpec(n_subjects=0)
-    with pytest.raises(DataError):
-        small_spec(target_channels=(99,))
     with pytest.raises(DataError, match="65535"):      # subject ids are stored as uint16
         SynthSpec(n_subjects=70000)
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"seq_len": 100_000_000}, "cannot store"), ({"sample_rate_hz": 0}, "sample_rate_hz"),
+    ({"sample_rate_hz": 2**32}, "sample_rate_hz"), ({"sample_rate_hz": 128.0}, "sample_rate_hz"),
+])
+def test_spec_rejects_what_the_file_cannot_hold(kw, match):
+    with pytest.raises(DataError, match=match):
+        SynthSpec(n_subjects=1, samples_per_cell=1, **kw)
 
 
 def test_spec_is_frozen_and_replace_rechecks():
@@ -115,7 +121,6 @@ def test_spec_is_frozen_and_replace_rechecks():
     for delta in (float("nan"), float("inf")):
         with pytest.raises(DataError, match="delta"):
             replace(spec, delta=delta)
-    assert replace(spec, delta=0.0).channel_names == DEFAULT_CHANNELS
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +208,40 @@ def test_bad_late_sample_leaves_no_file(tmp_path, small_set, case):
     with pytest.raises(DataError):
         save_dataset(p, bad, rate, names)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case, match", [
+    ("empty", "empty dataset"), ("name_count", "13 channel names for 14 channels"),
+    ("long_name", "longer than 255 bytes"),
+])
+def test_save_rejects_empty_set_and_bad_names(tmp_path, small_set, case, match):
+    manifest, samples = small_set
+    names = manifest.channel_names
+    if case == "empty":
+        samples = samples[:0]
+    elif case == "name_count":
+        names = names[1:]
+    else:
+        names = ("X" * 256,) + names[1:]
+    with pytest.raises(DataError, match=match):
+        save_dataset(tmp_path / "bad.eeg", samples, manifest.sample_rate_hz, names)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("field, value, match", [
+    (0, 2, "unsupported dataset version 2"), (1, 0, "holds no windows"),
+    (5, 4, "header claims 4 subjects, file has 3"),
+])
+def test_load_rejects_bad_header_field(tmp_path, small_set, field, value, match):
+    """One u32 of the header (version, n, L, C, rate, subjects) rewritten."""
+    manifest, samples = small_set
+    p = tmp_path / "d.eeg"
+    save_dataset(p, samples, manifest.sample_rate_hz, manifest.channel_names)
+    blob = bytearray(p.read_bytes())
+    struct.pack_into("<I", blob, 4 + 4 * field, value)
+    p.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match=match):
+        load_dataset(p)
 
 
 def test_nonfinite_signal_rejected_on_load(tmp_path, small_set):
