@@ -1,56 +1,96 @@
-"""Self-describing binary container for model weights.
+"""Checksummed binary container for model weights and train state.
 
-Layout: magic `OBTC`, format version u32, config-JSON length u32 + bytes,
-parameter count u32, then per parameter {name length u16 + utf-8 name,
-ndim u8, extents u32 each, float32 little-endian row-major data}. The
-loader rebuilds the model from the embedded config and rejects any name,
-shape, or count mismatch.
+Layout v2, little-endian: magic `OBTC`, version u32, meta-JSON length u32 +
+bytes, array count u32, then per array {name length u16 + utf-8 name, item
+size u8 (4 or 8), ndim u8, extents u32 each, row-major float data}, then a
+sha256 of every byte before it. Magic and version are checked first, so a
+v1 file is refused by number; each length is checked before it is read.
 """
 
+import hashlib
 import io
 import json
+import math
 import struct
 
 import numpy as np
 
 from .model import ModelConfig, init_parameters
 
-__all__ = ["CheckpointError", "save_model", "load_model"]
+__all__ = ["CheckpointError", "save_arrays", "load_arrays", "save_model", "load_model"]
 
 MAGIC = b"OBTC"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
-    """The file is not a valid model checkpoint for this format version."""
+    """The file is not a valid checkpoint for this format version."""
+
+
+def save_arrays(path, meta, arrays):
+    """Write JSON-able meta and {name: float32 or float64 array}, sealed."""
+    blob = json.dumps(meta, sort_keys=True).encode()
+    parts = [MAGIC, struct.pack("<II", VERSION, len(blob)), blob, struct.pack("<I", len(arrays))]
+    for name, a in arrays.items():
+        raw = name.encode()
+        parts += [struct.pack(f"<H{len(raw)}sBB{a.ndim}I", len(raw), raw, a.itemsize, a.ndim, *a.shape),
+                  np.ascontiguousarray(a, dtype=f"<f{a.itemsize}").tobytes()]
+    body = b"".join(parts)
+    with open(path, "wb") as f:
+        f.write(body + hashlib.sha256(body).digest())
+
+
+def _need(f, n, what):
+    left = f.getbuffer().nbytes - f.tell()
+    if n > left:
+        raise CheckpointError(f"truncated checkpoint: {what} needs {n} bytes at {f.tell()}, {left} left")
+    return f.read(n)
+
+
+def _unpack(f, fmt, what):
+    return struct.unpack(fmt, _need(f, struct.calcsize(fmt), what))
+
+
+def load_arrays(path):
+    """Inverse of save_arrays: (meta, {name: array}), each in its stored width."""
+    with open(path, "rb") as fh:
+        f = io.BytesIO(fh.read())
+    if _need(f, 4, "magic") != MAGIC:
+        raise CheckpointError(f"bad magic, not a checkpoint: {path}")
+    version, meta_len = _unpack(f, "<II", "version and meta length")
+    if version != VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    meta = _need(f, meta_len, "meta")
+    arrays = {}
+    for _ in range(*_unpack(f, "<I", "array count")):
+        try:
+            name = _need(f, *_unpack(f, "<H", "name length"), "name").decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"name ending at offset {f.tell()} is not utf-8") from None
+        if name in arrays:
+            raise CheckpointError(f"duplicate parameter array {name!r} in checkpoint")
+        size, ndim = _unpack(f, "<BB", f"{name} item size and ndim")
+        shape = _unpack(f, f"<{ndim}I", f"{name} shape")
+        # numpy 1 allows 32 axes, and no array whose nonzero extents overflow intp in bytes
+        if (size not in (4, 8) or ndim > 32
+                or size * math.prod(e or 1 for e in shape) > np.iinfo(np.intp).max):
+            raise CheckpointError(f"{name!r}: item size {size} and shape {shape} make no float array")
+        raw = _need(f, size * math.prod(shape), f"{name} data")
+        arrays[name] = np.frombuffer(raw, f"<f{size}").astype(f"f{size}").reshape(shape)
+    body = f.tell()
+    if _need(f, 32, "checksum") != hashlib.sha256(f.getbuffer()[:body]).digest():
+        raise CheckpointError("checksum mismatch: the file was altered after it was written")
+    if f.read():
+        raise CheckpointError(f"{f.tell() - body - 32} unexpected trailing bytes")
+    try:
+        return json.loads(meta), arrays
+    except ValueError as e:                  # bad JSON or bad utf-8
+        raise CheckpointError(f"malformed embedded config: {e}") from e
 
 
 def save_model(model, path):
     """Write config plus all parameters; weights are stored as float32."""
-    cfg_blob = json.dumps(model.cfg.to_dict(), sort_keys=True).encode()
-    params = model.parameters()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(cfg_blob)))
-        f.write(cfg_blob)
-        f.write(struct.pack("<I", len(params)))
-        for p in params:
-            name = p.name.encode()
-            f.write(struct.pack("<H", len(name)))
-            f.write(name)
-            f.write(struct.pack("<B", p.data.ndim))
-            f.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
-            f.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
-
-
-def _need(f, n, what):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise CheckpointError(
-            f"truncated checkpoint: wanted {n} bytes for {what} at offset "
-            f"{f.tell() - len(buf)}, got {len(buf)}")
-    return buf
+    save_arrays(path, model.cfg.to_dict(), {p.name: p.data.astype("f4") for p in model.parameters()})
 
 
 def load_model(path, expected_cfg=None):
@@ -58,46 +98,22 @@ def load_model(path, expected_cfg=None):
 
     If expected_cfg is given, the stored config must match it exactly.
     """
-    with open(path, "rb") as fh:
-        f = io.BytesIO(fh.read())
-    if _need(f, 4, "magic") != MAGIC:
-        raise CheckpointError(f"bad magic, not a model checkpoint: {path}")
-    (version,) = struct.unpack("<I", _need(f, 4, "version"))
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack("<I", _need(f, 4, "config length"))
+    meta, arrays = load_arrays(path)
     try:
-        cfg = ModelConfig.from_dict(json.loads(_need(f, cfg_len, "config")))
-    except (ValueError, TypeError) as e:     # bad JSON, bad utf-8 or a bad config
+        cfg = ModelConfig.from_dict(meta)
+    except (ValueError, TypeError) as e:     # not an object, or a bad config
         raise CheckpointError(f"malformed embedded config: {e}") from e
     if expected_cfg is not None and cfg != expected_cfg:
         raise CheckpointError("checkpoint config does not match the expected config")
-
     model = init_parameters(cfg, seed=0)
     expected = {p.name: p for p in model.parameters()}
-    (n_params,) = struct.unpack("<I", _need(f, 4, "parameter count"))
-    if n_params != len(expected):
-        raise CheckpointError(
-            f"checkpoint holds {n_params} parameters, config implies {len(expected)}")
-    seen = set()
-    for _ in range(n_params):
-        (name_len,) = struct.unpack("<H", _need(f, 2, "name length"))
-        name = _need(f, name_len, "name").decode()
+    if len(arrays) != len(expected):
+        raise CheckpointError(f"checkpoint holds {len(arrays)} parameters, config implies {len(expected)}")
+    for name, a in arrays.items():
         if name not in expected:
             raise CheckpointError(f"unknown parameter {name!r} in checkpoint")
-        if name in seen:
-            raise CheckpointError(f"duplicate parameter {name!r} in checkpoint")
-        seen.add(name)
-        (ndim,) = struct.unpack("<B", _need(f, 1, f"{name} ndim"))
-        shape = struct.unpack(f"<{ndim}I", _need(f, 4 * ndim, f"{name} shape"))
-        p = expected[name]
-        if shape != p.data.shape:
-            raise CheckpointError(
-                f"parameter {name!r} has shape {shape}, config implies {p.data.shape}")
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        raw = _need(f, 4 * count, f"{name} data")
-        p.data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
-    trailing = f.read()
-    if trailing:
-        raise CheckpointError(f"{len(trailing)} unexpected trailing bytes")
+        if a.shape != expected[name].data.shape:
+            raise CheckpointError(f"parameter {name!r} has shape {a.shape}, "
+                                  f"config implies {expected[name].data.shape}")
+        expected[name].data = a.astype(np.float32, copy=False)
     return model

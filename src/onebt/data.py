@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import check_field_types
+
 __all__ = [
     "Task", "EASY", "HARD", "DEFAULT_CHANNELS", "DataError",
     "DatasetManifest", "SynthSpec", "record_dtype",
@@ -240,12 +242,13 @@ class SynthSpec:
     amplitude_scale: float = 2.0        # hard-class amplitude per unit delta, in base-sigma units
 
     def __post_init__(self):
+        check_field_types(SynthSpec, vars(self), "the synthetic spec", DataError)
         if not 1 <= self.n_subjects <= 0xFFFF or self.samples_per_cell < 1:
             raise DataError("n_subjects must be in 1..65535 and samples_per_cell >= 1")
         if self.seq_len < 2:
             raise DataError("seq_len must be >= 2")
         record_dtype(self.seq_len, len(DEFAULT_CHANNELS))     # DataError if a window cannot fit
-        if not 0 <= self.delta < np.inf:       # False for NaN
+        if self.delta < 0:
             raise DataError(f"delta must be finite and >= 0, got {self.delta}")
         _check_rate(self.sample_rate_hz)
 

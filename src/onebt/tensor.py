@@ -20,12 +20,11 @@ import math
 import typing
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
-    "Tensor", "Parameter", "ShapeError", "ConfigError", "NumericError", "config_from_dict",
-    "matmul", "linear", "add", "mul", "scale", "gelu", "softmax_rows", "layer_norm",
-    "mean_axis", "dropout", "reshape", "swap_axes",
+    "Tensor", "Parameter", "ShapeError", "ConfigError", "NumericError", "check_field_types",
+    "config_from_dict", "matmul", "linear", "add", "mul", "scale", "gelu", "softmax_rows",
+    "layer_norm", "mean_axis", "dropout", "reshape", "swap_axes",
     "cross_entropy_label_smoothed", "backward",
 ]
 
@@ -49,27 +48,30 @@ class NumericError(ArithmeticError):
 _ALSO_ACCEPTED = {float: (int,), tuple: (list,)}
 
 
-def config_from_dict(cls, d, what):
-    """cls(**d) for a dataclass, each value checked against its field's annotation.
-
-    An int passes for a float, a list for a tuple, and a bool for nothing.
-    ConfigError if d is not a dict, has a key cls lacks, a value of another
-    type, or a NaN or infinite float; range checks are left to the caller.
-    """
-    if not isinstance(d, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {d!r}")
+def check_field_types(cls, d, what, error=ConfigError):
+    """Raise error unless each value in d fits its field's annotation in dataclass
+    cls: an int passes for a float, a list for a tuple, a bool for nothing, and
+    a float must be finite. Range checks are left to the caller."""
     types = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = set(d) - set(types)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     for name, value in d.items():
         ok = typing.get_args(types[name]) or (types[name],)
         ok += tuple(t for o in ok for t in _ALSO_ACCEPTED.get(o, ()))
         if isinstance(value, bool) or not isinstance(value, ok):
             expected = getattr(types[name], "__name__", types[name])
-            raise ConfigError(f"{what} {name} must be {expected}, got {value!r}")
+            raise error(f"{name} must be {expected} in {what}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{what} {name} must be finite, got {value!r}")
+            raise error(f"{name} must be finite in {what}, got {value!r}")
+
+
+def config_from_dict(cls, d, what):
+    """cls(**d) for a dataclass; ConfigError if d is not a dict, has a key cls
+    lacks, or fails check_field_types."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {d!r}")
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    check_field_types(cls, d, what)
     return cls(**d)
 
 
@@ -271,6 +273,7 @@ def scale(a, s):
 
 def gelu(a):
     """Exact gelu, 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    from scipy.special import erf       # here, not at import: scipy costs ~0.35 s to load
     a = _as_tensor(a)
     x = a.data
     inner = erf(x * _INV_SQRT2)

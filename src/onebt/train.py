@@ -8,7 +8,6 @@ result. Gradient clipping and the two augmentations are off by default.
 """
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .tensor import (NumericError, ConfigError, backward, config_from_dict,
                      cross_entropy_label_smoothed)
-from .checkpoint import CheckpointError
+from .checkpoint import CheckpointError, load_arrays, save_arrays
 from .data import DataError
 from .metrics import confusion_matrix
 
@@ -269,11 +268,6 @@ def _rng_state_jsonable(gen):
                 buffer=st["buffer"].tolist())
 
 
-def _rng_state_restore(d):
-    return dict(d, state={k: np.array(v, dtype=np.uint64) for k, v in d["state"].items()},
-                buffer=np.array(d["buffer"], dtype=np.uint64))
-
-
 def _weights_sha256(params):
     h = hashlib.sha256()
     for p in params:
@@ -291,32 +285,22 @@ def save_train_state(path, opt, next_epoch, shuffle_rng, dropout_rng, aug_rng, c
             "rng": {"shuffle": _rng_state_jsonable(shuffle_rng),
                     "dropout": _rng_state_jsonable(dropout_rng),
                     "augment": _rng_state_jsonable(aug_rng)}}
-    arrays = {}
-    for p in opt.params:
-        arrays["m." + p.name] = opt.m[p.name]
-        arrays["v." + p.name] = opt.v[p.name]
-    np.savez(path, __meta__=json.dumps(meta), **arrays)
+    save_arrays(path, meta, {f"{k}.{p.name}": getattr(opt, k)[p.name]
+                             for p in opt.params for k in "mv"})
 
 
 def load_train_state(path):
-    """Inverse of save_train_state; feed the result to train(resume=...).
-
-    A missing file raises OSError and a malformed one CheckpointError.
-    """
-    path = str(path) if str(path).endswith(".npz") else str(path) + ".npz"
-    with open(path, "rb") as f:
-        try:
-            with np.load(f) as z:
-                meta = json.loads(str(z["__meta__"]))
-                m = {name: z["m." + name] for name in meta["names"]}
-                v = {name: z["v." + name] for name in meta["names"]}
-            rng = {k: _rng_state_restore(s) for k, s in meta["rng"].items()}
-            for state in rng.values():
-                np.random.Philox().state = state        # rejects a malformed state
-            return {"optimizer": {"t": meta["t"], "m": m, "v": v},
-                    "next_epoch": meta["next_epoch"], "config": meta["config"],
-                    "n": meta["n"], "weights_sha256": meta["weights_sha256"], "rng": rng}
-        # one flipped bit surfaces from np.load as any of BadZipFile, KeyError,
-        # ValueError, RuntimeError, NotImplementedError, TokenError or OSError
-        except Exception as e:
-            raise CheckpointError(f"{path} is not a valid train state: {e!r}") from e
+    """Inverse of save_train_state, for train(resume=...); a missing file
+    raises OSError and a malformed one CheckpointError."""
+    try:
+        meta, arrays = load_arrays(path)
+        m, v = ({name: arrays[f"{k}.{name}"] for name in meta["names"]} for k in "mv")
+        rng = {k: meta["rng"][k] for k in ("shuffle", "dropout", "augment")}
+        for state in rng.values():
+            np.random.Philox().state = state        # rejects a malformed state
+        return {"optimizer": {"t": meta["t"], "m": m, "v": v},
+                "next_epoch": meta["next_epoch"], "config": meta["config"],
+                "n": meta["n"], "weights_sha256": meta["weights_sha256"], "rng": rng}
+    # container errors are ValueErrors; Philox also raises Index- or OverflowError
+    except (LookupError, TypeError, ValueError, OverflowError) as e:
+        raise CheckpointError(f"{path} is not a valid train state: {e!r}") from e

@@ -6,10 +6,13 @@ tests compare two unrelated code paths.
 """
 
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, str(Path(__file__).parent))   # for reference_tables
 
@@ -51,3 +54,13 @@ def tiny_config(**overrides):
                 ff_mult=2, attn_dropout=0.0, ff_dropout=0.0)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+# Property tests replay the same examples on every run, keep no example
+# database and stay bounded in time. Hypothesis still caches the constants it
+# reads from local source files; that cache goes to the system temp
+# directory, not the checkout.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
+                          max_examples=300)
+settings.load_profile("tier1")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "onebt-hypothesis")

@@ -1,5 +1,6 @@
 """Checkpoint container: bitwise round-trip and rejection of malformed files."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -92,23 +93,26 @@ def _split(blob):
         (name_len,) = struct.unpack_from("<H", blob, off)
         name = blob[off + 2:off + 2 + name_len].decode()
         off += 2 + name_len
-        ndim = blob[off]
-        shape = struct.unpack_from(f"<{ndim}I", blob, off + 1)
-        off += 1 + 4 * ndim
+        itemsize, ndim = blob[off], blob[off + 1]
+        assert itemsize == 4
+        shape = struct.unpack_from(f"<{ndim}I", blob, off + 2)
+        off += 2 + 4 * ndim
         size = 4 * int(np.prod(shape, dtype=np.int64))
         records.append((name, shape, blob[off:off + size]))
         off += size
+    assert off + 32 == len(blob)
     return blob[12:12 + cfg_len], records
 
 
-def _join(cfg, records, count=None, version=1):
+def _join(cfg, records, version=2, itemsize=4):
+    """A checkpoint of float32 records, sealed with a valid sha256 trailer."""
     out = b"OBTC" + struct.pack("<II", version, len(cfg)) + cfg
-    out += struct.pack("<I", len(records) if count is None else count)
+    out += struct.pack("<I", len(records))
     for name, shape, data in records:
         raw = name.encode()
-        out += struct.pack("<H", len(raw)) + raw + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+        out += struct.pack("<H", len(raw)) + raw + struct.pack(f"<BB{len(shape)}I", itemsize, len(shape), *shape)
         out += data
-    return out
+    return out + hashlib.sha256(out).digest()
 
 
 @pytest.fixture
@@ -128,7 +132,7 @@ def _rejects(p, blob, match):
 
 def test_unsupported_version_rejected(good_checkpoint):
     p, cfg, records = good_checkpoint
-    _rejects(p, _join(cfg, records, version=2), "version 2")
+    _rejects(p, _join(cfg, records, version=1), "version 1")
 
 
 @pytest.mark.parametrize("cfg", [b"{not json", b"\xff", b'{"nope": 1}', b'{"num_latents": 0}'])
@@ -139,8 +143,7 @@ def test_malformed_embedded_config_rejected(good_checkpoint, cfg):
 
 def test_parameter_count_mismatch_rejected(good_checkpoint):
     p, cfg, records = good_checkpoint
-    _rejects(p, _join(cfg, records, count=len(records) + 1),
-             f"holds {len(records) + 1} parameters")
+    _rejects(p, _join(cfg, records[:-1]), f"holds {len(records) - 1} parameters")
 
 
 def test_unknown_parameter_name_rejected(good_checkpoint):
@@ -163,3 +166,16 @@ def test_parameter_shape_mismatch_rejected(good_checkpoint):
     name, shape, data = records[i]
     records[i] = (name, shape[::-1], data)
     _rejects(p, _join(cfg, records), f"parameter {name!r} has shape")
+
+
+@pytest.mark.parametrize("itemsize, shape", [
+    (2, (8,)), (4, (1,) * 65), (4, (0, 2**32 - 1, 2**32 - 1)),
+], ids=["item_size", "axes", "overflow"])
+def test_impossible_array_rejected(good_checkpoint, itemsize, shape):
+    """An item size other than 4 or 8, more axes than numpy allows, or
+    nonzero extents whose byte count overflows numpy's index type is refused
+    before any data is read. The last holds zero values, so only that check
+    can catch it."""
+    p, cfg, records = good_checkpoint
+    records[0] = (records[0][0], shape, b"")
+    _rejects(p, _join(cfg, records, itemsize=itemsize), "make no float array")

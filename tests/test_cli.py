@@ -425,3 +425,14 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "table3" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only gelu needs scipy, so gen-data, cost and every early-exit error
+    path run without paying its import."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, onebt.cli; print(sorted(m for m in sys.modules "
+                           "if m.split('.')[0] == 'scipy'))"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -103,6 +103,10 @@ def test_spec_validation():
         SynthSpec(n_subjects=0)
     with pytest.raises(DataError, match="65535"):      # subject ids are stored as uint16
         SynthSpec(n_subjects=70000)
+    # counts are ints, and a bool is not one
+    for name, value in [("samples_per_cell", 1.5), ("n_subjects", True), ("seq_len", 16.0)]:
+        with pytest.raises(DataError, match=f"{name} must be int"):
+            SynthSpec(**{"n_subjects": 1, "samples_per_cell": 1, "seq_len": 16, name: value})
 
 
 @pytest.mark.parametrize("kw, match", [

@@ -1,13 +1,14 @@
 """Trainer: cosine schedule contracts, AdamW against a hand-rolled oracle,
 bitwise determinism, exact resume, and the learning smoke tests."""
 
+import hashlib
 import math
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
-from onebt.checkpoint import CheckpointError, save_model, load_model
+from onebt.checkpoint import CheckpointError, save_model, load_model, load_arrays, save_arrays
 from onebt.data import DataError
 from onebt.model import init_parameters
 from onebt.tensor import Parameter, ConfigError, NumericError
@@ -281,15 +282,42 @@ def test_resume_refuses_other_weights(tmp_path):
         train(init_parameters(tiny_config(), seed=123), X, y, cfg, resume=state)
 
 
+def test_resume_float64_reproduces_straight_run(tmp_path):
+    """The state file keeps float64 moments at full width, so a float64 run
+    stopped and resumed on its own weights ends bitwise where a straight one
+    does."""
+    X, y = _toy_data(n=20)
+    X = X.astype(np.float64)
+    cfg = quick_cfg(epochs=6, aug_noise_sigma=0.05)
+    mcfg = tiny_config(attn_dropout=0.1, ff_dropout=0.1)
+
+    straight = init_parameters(mcfg, seed=11, dtype=np.float64)
+    train(straight, X, y, cfg)
+
+    resumed = init_parameters(mcfg, seed=11, dtype=np.float64)
+    train(resumed, X, y, cfg, stop_after_epoch=3, state_path=tmp_path / "state")
+    state = load_train_state(tmp_path / "state")
+    assert state["optimizer"]["v"]["head.bias"].dtype == np.float64
+    log = train(resumed, X, y, cfg, resume=state)
+    assert [r["epoch"] for r in log.records] == [3, 4, 5]
+    for a, b in zip(straight.parameters(), resumed.parameters()):
+        assert b.data.dtype == np.float64
+        np.testing.assert_array_equal(a.data, b.data)
+
+
 def _resaved(blob, tmp_path, edit):
-    """The state in blob with its arrays edited by edit(dict), saved again."""
-    src = tmp_path / "src.npz"
+    """The state in blob with (meta, arrays) edited by edit, which returns
+    the new meta, saved again under a valid checksum."""
+    src = tmp_path / "src"
     src.write_bytes(blob)
-    with np.load(src) as z:
-        arrays = dict(z)
-    edit(arrays)
-    np.savez(tmp_path / "edited.npz", **arrays)
-    return (tmp_path / "edited.npz").read_bytes()
+    meta, arrays = load_arrays(src)
+    save_arrays(tmp_path / "edited", edit(meta, arrays), arrays)
+    return (tmp_path / "edited").read_bytes()
+
+
+def _resealed(blob):
+    """blob with its sha256 trailer recomputed over the edited body."""
+    return blob[:-32] + hashlib.sha256(blob[:-32]).digest()
 
 
 def _flip(blob, i):
@@ -298,18 +326,29 @@ def _flip(blob, i):
     return bytes(b)
 
 
+def _drop_moment(meta, arrays):
+    del arrays["m.head.bias"]
+    return meta
+
+
+def _rng_overflow(meta, arrays):
+    meta["rng"]["shuffle"]["state"]["counter"][0] = 2 ** 70
+    return meta
+
+
 CORRUPTIONS = {
     "half": lambda b, t: b[:len(b) // 2],
     "tail_cut": lambda b, t: b[:-5],
     "garbage": lambda b, t: np.random.default_rng(0).bytes(100),
     "empty": lambda b, t: b"",
-    "npy_header_flip": lambda b, t: _flip(b, b.index(b"\x93NUMPY") + 1),
-    "zip_header_flip": lambda b, t: _flip(b, 0),
+    "header_flip": lambda b, t: _flip(b, 8),                  # the config length
     "data_flip": lambda b, t: _flip(b, len(b) // 2),
-    "no_meta": lambda b, t: _resaved(b, t, lambda a: a.pop("__meta__")),
-    "no_moment": lambda b, t: _resaved(b, t, lambda a: a.pop("m.head.bias")),
-    "meta_not_json": lambda b, t: _resaved(b, t, lambda a: a.update(__meta__="{")),
-    "meta_not_dict": lambda b, t: _resaved(b, t, lambda a: a.update(__meta__="[]")),
+    "trailer_flip": lambda b, t: _flip(b, len(b) - 1),
+    "no_meta": lambda b, t: _resaved(b, t, lambda meta, arrays: None),
+    "no_moment": lambda b, t: _resaved(b, t, _drop_moment),
+    "meta_not_json": lambda b, t: _resealed(b[:12] + b"[" + b[13:]),
+    "meta_not_dict": lambda b, t: _resaved(b, t, lambda meta, arrays: []),
+    "rng_overflow": lambda b, t: _resaved(b, t, _rng_overflow),
 }
 
 
@@ -318,7 +357,7 @@ def test_corrupt_train_state_rejected(tmp_path, kind):
     X, y = _toy_data(n=8)
     train(init_parameters(tiny_config(), seed=0), X, y, quick_cfg(epochs=2),
           stop_after_epoch=1, state_path=tmp_path / "state")
-    path = tmp_path / "state.npz"
+    path = tmp_path / "state"
     path.write_bytes(CORRUPTIONS[kind](path.read_bytes(), tmp_path))
     with pytest.raises(CheckpointError, match="not a valid train state"):
         load_train_state(path)
