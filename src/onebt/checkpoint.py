@@ -105,7 +105,7 @@ def load_model(path, expected_cfg=None):
         raise CheckpointError(f"malformed embedded config: {e}") from e
     if expected_cfg is not None and cfg != expected_cfg:
         raise CheckpointError("checkpoint config does not match the expected config")
-    model = init_parameters(cfg, seed=0)
+    model = init_parameters(cfg, seed=None)      # every weight is read below, none drawn
     expected = {p.name: p for p in model.parameters()}
     if len(arrays) != len(expected):
         raise CheckpointError(f"checkpoint holds {len(arrays)} parameters, config implies {len(expected)}")

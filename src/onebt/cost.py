@@ -9,9 +9,11 @@ tokenizer are excluded.
 FLOPs count the paper's evaluation order, in which cross-attention projects
 every token to keys and values. At run time `model.LatentCrossAttention`
 computes the same products in the latent-side order, which does fewer MACs
-when tokens far outnumber latents; the counts here, `onebt cost` and the
-pinned tables do not follow it. A time set against these counts (achieved
-GFLOP/s) is therefore paper-convention MACs per second.
+when tokens far outnumber latents, and applies `cross.norm_kv`'s gain and
+bias on the latent side instead of to every token; the counts here, `onebt
+cost` and the pinned tables follow neither, and norms stay outside the count
+in both orders. A time set against these counts (achieved GFLOP/s) is
+therefore paper-convention MACs per second.
 """
 
 from dataclasses import dataclass, field

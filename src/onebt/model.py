@@ -18,7 +18,7 @@ import numpy as np
 
 from .tensor import (
     Tensor, Parameter, ShapeError, ConfigError, config_from_dict,
-    matmul, linear, add, mul, scale, gelu, softmax_rows, layer_norm,
+    matmul, linear, add, mul, scale, gelu, softmax_rows, standardize, layer_norm,
     mean_axis, dropout, reshape, swap_axes,
 )
 
@@ -142,7 +142,8 @@ def _position_features(seq_len, num_freq_bands, max_freq):
 # modules
 
 class _Registry:
-    """Creates parameters with hierarchical names and keeps insertion order."""
+    """Creates parameters with hierarchical names and keeps insertion order.
+    With rng None nothing is drawn: weights and latents start at zero."""
 
     def __init__(self, rng, dtype):
         self.rng = rng
@@ -152,11 +153,13 @@ class _Registry:
     def _add(self, name, data):
         if name in self.params:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        p = Parameter(name, data.astype(self.dtype))
+        p = Parameter(name, data.astype(self.dtype, copy=False))
         self.params[name] = p
         return p
 
     def weight(self, name, fan_in, fan_out):
+        if self.rng is None:
+            return self._add(name, np.zeros((fan_in, fan_out), self.dtype))
         bound = 1.0 / np.sqrt(fan_in)
         return self._add(name, self.rng.uniform(-bound, bound, size=(fan_in, fan_out)))
 
@@ -167,6 +170,8 @@ class _Registry:
         return self._add(name, np.ones(n))
 
     def latents(self, name, m, d):
+        if self.rng is None:
+            return self._add(name, np.zeros((m, d), self.dtype))
         # truncated normal: resample anything beyond 2 sigma
         a = self.rng.normal(0.0, 0.02, size=(m, d))
         bad = np.abs(a) > 0.04
@@ -240,17 +245,35 @@ class LatentCrossAttention(Attention):
     sequence). Parameters, their names and their init are those of
     Attention; only the evaluation order differs, so float results agree
     with Attention.__call__ up to rounding.
+
+    kv_affine=(γ, β) attends over t⊙γ + β instead of t, without forming it
+    (LayerNorm's affine folded into the latent side, with qk = q W_kᵀ/√hd):
+
+        qk (t⊙γ + β)ᵀ = (qk⊙γ) tᵀ + (qk·β) 𝟙ᵀ
+        probs (t⊙γ + β) = (probs t)⊙γ + rowsum(probs) ⊗ β
+
+    The second score term is constant along the key axis, so softmax drops
+    it. The row sum stays explicit: after inverted dropout it is not 1.
+    γ and β then touch [..., h, m, c] tensors only, never the n tokens.
     """
 
-    def __call__(self, q_in, kv_in, attn_dropout=0.0, training=False, rng=None):
+    def __call__(self, q_in, kv_in, attn_dropout=0.0, training=False, rng=None,
+                 kv_affine=None):
         wk, wv = (swap_axes(reshape(w, (w.shape[0], self.heads, self.head_dim)), 0, 1)
                   for w in (self.k.weight, self.v.weight))   # [h, c, hd]
         q = self._split(self.q(q_in))                               # [..., h, m, hd]
         qk = scale(matmul(q, swap_axes(wk, -1, -2)), 1.0 / np.sqrt(self.head_dim))
+        if kv_affine is not None:
+            gain, bias = kv_affine
+            qk = mul(qk, gain)                                      # [..., h, m, c]
         t = reshape(kv_in, kv_in.shape[:-2] + (1,) + kv_in.shape[-2:])   # [..., 1, n, c]
         scores = matmul(qk, swap_axes(t, -1, -2))                   # [..., h, m, n]
         probs = dropout(softmax_rows(scores), attn_dropout, training, rng)
-        return self._merge(matmul(matmul(probs, t), wv))
+        ctx = matmul(probs, t)                                      # [..., h, m, c]
+        if kv_affine is not None:
+            rowsum = matmul(probs, np.ones((t.shape[-2], 1), probs.dtype))   # [..., h, m, 1]
+            ctx = add(mul(ctx, gain), matmul(rowsum, reshape(bias, (1, -1))))
+        return self._merge(matmul(ctx, wv))
 
 
 class GatedFeedForward:
@@ -269,7 +292,12 @@ class GatedFeedForward:
 
 
 class CrossBlock:
-    """Latents attend to tokens, then a gated feed-forward; both residual, pre-norm."""
+    """Latents attend to tokens, then a gated feed-forward; both residual, pre-norm.
+
+    The tokens are only standardized; norm_kv's affine acts on the latent side
+    (LatentCrossAttention's kv_affine), so a window that needs no gradient
+    puts no [B, n, c] tensor into the graph.
+    """
 
     def __init__(self, reg, name, cfg):
         d = cfg.latent_dim
@@ -281,8 +309,8 @@ class CrossBlock:
         self.ff = GatedFeedForward(reg, f"{name}.ff", d, cfg.ff_mult)
 
     def __call__(self, latents, tokens, cfg, training, rng):
-        att = self.attn(self.norm_q(latents), self.norm_kv(tokens),
-                        cfg.attn_dropout, training, rng)
+        att = self.attn(self.norm_q(latents), standardize(tokens), cfg.attn_dropout,
+                        training, rng, (self.norm_kv.gain, self.norm_kv.bias))
         latents = add(att, latents)
         h = self.ff(self.norm_ff(latents), cfg.ff_dropout, training, rng)
         return add(h, latents)
@@ -308,8 +336,10 @@ class SelfBlock:
 
 class OneBlockTransformer:
     def __init__(self, cfg, seed=0, dtype=np.float32):
+        """seed None draws nothing: every weight starts at zero (norm gains at one)."""
         self.cfg = cfg
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        rng = None if seed is None else np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(seed)))
         reg = _Registry(rng, dtype)
         self.latents = reg.latents("latents", cfg.num_latents, cfg.latent_dim)
         self.cross = CrossBlock(reg, "cross", cfg)
@@ -358,5 +388,6 @@ class OneBlockTransformer:
 
 
 def init_parameters(cfg, seed=0, dtype=np.float32):
-    """Build a model with freshly initialised parameters (deterministic in seed)."""
+    """Build a model with freshly initialised parameters (deterministic in seed;
+    seed None leaves every weight at zero, for a caller that loads them)."""
     return OneBlockTransformer(cfg, seed=seed, dtype=dtype)

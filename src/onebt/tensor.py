@@ -24,7 +24,7 @@ import numpy as np
 __all__ = [
     "Tensor", "Parameter", "ShapeError", "ConfigError", "NumericError", "check_field_types",
     "config_from_dict", "matmul", "linear", "add", "mul", "scale", "gelu", "softmax_rows",
-    "layer_norm", "mean_axis", "dropout", "reshape", "swap_axes",
+    "standardize", "layer_norm", "mean_axis", "dropout", "reshape", "swap_axes",
     "cross_entropy_label_smoothed", "backward",
 ]
 
@@ -302,16 +302,39 @@ def softmax_rows(a):
     return _make(p, (a,), bwd)
 
 
+def _standardize(x, eps):
+    """(xhat, inv): the last axis centred and scaled by inv = 1 / sqrt(var + eps)."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    return xc * inv, inv
+
+
+def _standardize_grad(gh, xhat, inv):
+    """dx from gh = d(xhat), fused: inv * (gh - mean(gh) - xhat * mean(gh * xhat))."""
+    m1 = gh.mean(axis=-1, keepdims=True)
+    m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+    return inv * (gh - m1 - xhat * m2)
+
+
+def standardize(x, eps=1e-5):
+    """Normalise the last axis to zero mean / unit variance: layer_norm with no affine."""
+    x = _as_tensor(x)
+    xhat, inv = _standardize(x.data, eps)
+
+    def bwd(g):
+        return (_standardize_grad(g, xhat, inv),)
+
+    return _make(xhat, (x,), bwd)
+
+
 def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalise the last axis to zero mean / unit variance, then affine."""
+    """standardize, then the affine xhat * gain + bias."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
-    xhat = xc * inv
+    xhat, inv = _standardize(x.data, eps)
     out = xhat * gain.data + bias.data
 
     def bwd(g):
@@ -321,11 +344,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
         if bias.requires_grad:
             gb = g.reshape(-1, d).sum(axis=0)
         if x.requires_grad:
-            gh = g * gain.data
-            # fused form: dx = inv * (gh - mean(gh) - xhat * mean(gh * xhat))
-            m1 = gh.mean(axis=-1, keepdims=True)
-            m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-            gx = inv * (gh - m1 - xhat * m2)
+            gx = _standardize_grad(g * gain.data, xhat, inv)
         return gx, gg, gb
 
     return _make(out, (x, gain, bias), bwd)
@@ -357,7 +376,8 @@ def dropout(x, rate, training, rng=None):
     if rng is None:
         raise ConfigError("dropout: an rng is required when training with rate > 0")
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) >= rate).astype(x.dtype) / keep
+    # float32 uniforms: half the generator work of float64, and ample for a mask
+    mask = (rng.random(x.shape, dtype=np.float32) >= rate).astype(x.dtype) / keep
     out = x.data * mask
 
     def bwd(g):

@@ -132,8 +132,17 @@ class AdamW:
                 "v": {k: v.copy() for k, v in self.v.items()}}
 
     def load_state_dict(self, state):
-        if set(state["m"]) != set(self.m):
-            raise ConfigError("optimizer state does not match parameter names")
+        """Restore state_dict()'s output; CheckpointError unless each moment
+        has its weight's name, shape and dtype."""
+        for k in "mv":
+            if set(state[k]) != set(self.m):
+                raise CheckpointError("optimizer state does not match parameter names")
+            for p in self.params:
+                a = state[k][p.name]
+                if a.shape != p.data.shape or a.dtype != p.data.dtype:
+                    raise CheckpointError(
+                        f"optimizer moment {k}.{p.name} is {a.dtype} {a.shape}, "
+                        f"its weight {p.data.dtype} {p.data.shape}")
         self.t = state["t"]
         self.m = {k: np.array(v) for k, v in state["m"].items()}
         self.v = {k: np.array(v) for k, v in state["v"].items()}
@@ -211,6 +220,9 @@ def train(model, X, y, cfg, stop_after_epoch=None, state_path=None, resume=None)
                                   "the model it resumes")
         opt.load_state_dict(resume["optimizer"])
         start_epoch = resume["next_epoch"]
+        if opt.t != start_epoch * steps_per_epoch:
+            raise CheckpointError(f"optimizer step count {opt.t} does not match {start_epoch} "
+                                  f"epochs of {steps_per_epoch} steps")
         shuffle_rng.bit_generator.state = resume["rng"]["shuffle"]
         dropout_rng.bit_generator.state = resume["rng"]["dropout"]
         aug_rng.bit_generator.state = resume["rng"]["augment"]
@@ -298,8 +310,14 @@ def load_train_state(path):
         rng = {k: meta["rng"][k] for k in ("shuffle", "dropout", "augment")}
         for state in rng.values():
             np.random.Philox().state = state        # rejects a malformed state
-        return {"optimizer": {"t": meta["t"], "m": m, "v": v},
-                "next_epoch": meta["next_epoch"], "config": meta["config"],
+        t, next_epoch = meta["t"], meta["next_epoch"]
+        if type(t) is not int or t < 0:
+            raise ValueError(f"t must be an integer >= 0, got {t!r}")
+        # the run's epochs: train() refuses a state whose config is not the run's
+        if type(next_epoch) is not int or not 0 <= next_epoch <= meta["config"]["epochs"]:
+            raise ValueError(f"next_epoch must be an integer in [0, epochs], got {next_epoch!r}")
+        return {"optimizer": {"t": t, "m": m, "v": v},
+                "next_epoch": next_epoch, "config": meta["config"],
                 "n": meta["n"], "weights_sha256": meta["weights_sha256"], "rng": rng}
     # container errors are ValueErrors; Philox also raises Index- or OverflowError
     except (LookupError, TypeError, ValueError, OverflowError) as e:

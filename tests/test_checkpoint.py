@@ -24,6 +24,27 @@ def test_round_trip_bitwise(tmp_path, rng):
     np.testing.assert_array_equal(model.forward(x).data, loaded.forward(x).data)
 
 
+def test_load_model_draws_no_weights(tmp_path, monkeypatch):
+    """Every weight comes from the file: building the model draws none."""
+    model = init_parameters(tiny_config(), seed=8)
+    save_model(model, tmp_path / "m.ckpt")
+
+    class NoDraws:
+        def __init__(self, bit_generator):
+            pass
+
+        def uniform(self, *args, **kwargs):
+            raise AssertionError("load_model drew a random weight")
+
+        normal = uniform
+
+    monkeypatch.setattr(np.random, "Generator", NoDraws)
+    loaded = load_model(tmp_path / "m.ckpt")
+    for a, b in zip(model.parameters(), loaded.parameters()):
+        assert a.name == b.name and b.data.dtype == np.float32
+        assert a.data.tobytes() == b.data.tobytes()
+
+
 def test_round_trip_after_mutation(tmp_path):
     model = init_parameters(tiny_config(), seed=1)
     model.param("head.bias").data = np.array([1.5, -2.5], dtype=np.float32)

@@ -8,9 +8,10 @@ import pytest
 from onebt.model import (ModelConfig, Attention, LatentCrossAttention,
                          frequency_bands, position_grid, fourier_encode,
                          tokenize, init_parameters)
-from onebt.tensor import Tensor, ShapeError, ConfigError, backward, mean_axis, reshape
+from onebt.tensor import (Tensor, ShapeError, ConfigError, backward, mean_axis, reshape, add,
+                          cross_entropy_label_smoothed)
 from conftest import tiny_config, rel_err, fd_grad
-from test_tensor_ops import grad_of, TOL
+from test_tensor_ops import grad_of, TOL, _graph_tensors
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +175,85 @@ def test_grad_latent_cross_attention(rng, heads):
     for wrt in range(len(args)):
         g, fd = grad_of(op, args, wrt)
         assert rel_err(g, fd) < TOL, f"wrt={wrt}"
+
+
+# ---------------------------------------------------------------------------
+# cross block: norm_kv's affine folded into the latent side
+
+def _cross_block(rng, heads, dropout=0.0):
+    """A float64 cross block whose norm_kv carries a random gain and bias."""
+    model = init_parameters(tiny_config(cross_heads=heads, attn_dropout=dropout,
+                                        ff_dropout=dropout), seed=3, dtype=np.float64)
+    for name in ("cross.norm_kv.gain", "cross.norm_kv.bias"):
+        model.param(name).data = rng.standard_normal(model.param(name).shape)
+    return model, model.cross
+
+
+def _unfolded_cross_block(block, latents, tokens, cfg, training, rng):
+    """CrossBlock in the textbook order: norm_kv applied to every token."""
+    att = Attention.__call__(block.attn, block.norm_q(latents), block.norm_kv(tokens),
+                             cfg.attn_dropout, training, rng)
+    latents = add(att, latents)
+    return add(block.ff(block.norm_ff(latents), cfg.ff_dropout, training, rng), latents)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("tokens_grad", [False, True])
+def test_cross_block_matches_unfolded_norm_kv(rng, heads, training, tokens_grad):
+    """The folded block and the textbook order agree in output and every
+    gradient, with random norm_kv gain and bias and identically seeded dropout."""
+    model, block = _cross_block(rng, heads, dropout=0.3)
+    cfg = model.cfg
+    tok = rng.standard_normal((3, cfg.seq_len, cfg.token_width))
+    results = []
+    for call in (type(block).__call__, _unfolded_cross_block):
+        model.zero_grad()
+        tokens = Tensor(tok.copy(), requires_grad=tokens_grad)
+        out = call(block, model.latents, tokens, cfg, training, np.random.default_rng(11))
+        backward(mean_axis(reshape(out, (out.data.size, 1)), 0))
+        grads = {p.name: p.grad for p in model.parameters()
+                 if p.name == "latents" or p.name.startswith("cross.")}
+        results.append((out.data, tokens.grad, grads))
+    (out_a, gt_a, gp_a), (out_b, gt_b, gp_b) = results
+    assert {"latents", "cross.norm_kv.gain", "cross.norm_kv.bias", "cross.attn.k_proj.weight",
+            "cross.attn.v_proj.weight"} <= set(gp_a) == set(gp_b)
+    assert (gt_a is None) == (gt_b is None) == (not tokens_grad)
+    pairs = [(out_a, out_b)] + [(gp_a[k], gp_b[k]) for k in gp_a]
+    for a, b in pairs + ([(gt_a, gt_b)] if tokens_grad else []):
+        assert a.shape == b.shape
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_grad_cross_block_norm_kv(rng, heads):
+    """FD oracle for the folded affine, wrt norm_kv's gain and bias."""
+    model, block = _cross_block(rng, heads)
+    cfg = model.cfg
+    lat = model.latents.data.copy()
+    tok = rng.standard_normal((3, cfg.seq_len, cfg.token_width))
+
+    def op(gain, bias):
+        block.norm_kv.gain, block.norm_kv.bias = gain, bias
+        return block(Tensor(lat), Tensor(tok), cfg, False, None)
+
+    args = (block.norm_kv.gain.data.copy(), block.norm_kv.bias.data.copy())
+    for wrt in range(len(args)):
+        g, fd = grad_of(op, args, wrt)
+        assert rel_err(g, fd) < TOL, f"wrt={wrt}"
+
+
+def test_training_graph_holds_no_token_sized_gradient(rng):
+    """On a plain window array the tokens stay out of the graph: no tensor of
+    token shape requires grad, so backward does no per-token work."""
+    model = init_parameters(tiny_config(attn_dropout=0.1, ff_dropout=0.1), seed=0)
+    cfg = model.cfg
+    x = rng.standard_normal((3, cfg.seq_len, cfg.input_channels)).astype(np.float32)
+    logits = model.forward(x, training=True, rng=np.random.default_rng(0))
+    loss = cross_entropy_label_smoothed(logits, np.array([0, 1, 0]), 0.1)
+    token_shapes = {(3, cfg.seq_len, cfg.token_width), (3, 1, cfg.seq_len, cfg.token_width)}
+    tracked = [t.shape for t in _graph_tensors(loss) if t.requires_grad]
+    assert tracked and not token_shapes & set(tracked)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from scipy.special import softmax as sp_softmax
 
 from onebt.tensor import (Tensor, ShapeError, ConfigError, NumericError,
                           matmul, linear, add, mul, scale, gelu, softmax_rows,
-                          layer_norm, mean_axis, dropout,
+                          standardize, layer_norm, mean_axis, dropout,
                           reshape, swap_axes, cross_entropy_label_smoothed,
                           backward)
 from conftest import fd_grad, rel_err
@@ -154,6 +154,14 @@ def test_layer_norm_affine(rng):
     plain = layer_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4))).data
     out = layer_norm(Tensor(x), Tensor(g), Tensor(b)).data
     np.testing.assert_allclose(out, plain * g + b, atol=1e-6)
+
+
+def test_standardize_is_layer_norm_without_affine(rng):
+    x = rng.standard_normal((2, 3, 5))
+    out = standardize(x)
+    plain = layer_norm(Tensor(x), Tensor(np.ones(5)), Tensor(np.zeros(5)))
+    np.testing.assert_array_equal(out.data, plain.data)
+    assert out.node is None and not out.requires_grad     # a plain input gives a leaf
 
 
 def test_layer_norm_shape_error():
@@ -360,6 +368,18 @@ def test_grad_layer_norm(rng):
     for wrt in (0, 1, 2):
         g, fd = grad_of(layer_norm, (x, gain, bias), wrt)
         assert rel_err(g, fd) < TOL, f"wrt={wrt}"
+
+
+def test_grad_standardize(rng):
+    x = rng.standard_normal((2, 4, 6))
+    # every standardized row sums to zero, so weigh the outputs to see a gradient
+    w = rng.standard_normal((2, 4, 6))
+
+    def op(t):
+        return mul(standardize(t), Tensor(w))
+
+    g, fd = grad_of(op, (x,), 0)
+    assert rel_err(g, fd) < TOL
 
 
 def test_grad_mean_axis(rng):

@@ -336,6 +336,17 @@ def _rng_overflow(meta, arrays):
     return meta
 
 
+def _moment(name, change):
+    def edit(meta, arrays):
+        arrays[name] = change(arrays[name])
+        return meta
+    return edit
+
+
+def _meta(key, value):
+    return lambda meta, arrays: dict(meta, **{key: value})
+
+
 CORRUPTIONS = {
     "half": lambda b, t: b[:len(b) // 2],
     "tail_cut": lambda b, t: b[:-5],
@@ -349,18 +360,28 @@ CORRUPTIONS = {
     "meta_not_json": lambda b, t: _resealed(b[:12] + b"[" + b[13:]),
     "meta_not_dict": lambda b, t: _resaved(b, t, lambda meta, arrays: []),
     "rng_overflow": lambda b, t: _resaved(b, t, _rng_overflow),
+    # checksum-valid states that do not fit the run they resume
+    "moment_float64": lambda b, t: _resaved(b, t, _moment("m.head.bias", lambda a: a.astype("f8"))),
+    "moment_shape": lambda b, t: _resaved(b, t, _moment("v.head.bias", lambda a: a[None])),
+    "t_negative": lambda b, t: _resaved(b, t, _meta("t", -5)),
+    "t_bool": lambda b, t: _resaved(b, t, _meta("t", True)),
+    "t_float": lambda b, t: _resaved(b, t, _meta("t", 2.0)),
+    "t_off_schedule": lambda b, t: _resaved(b, t, _meta("t", 3)),     # 1 epoch of 1 step
+    "next_epoch_str": lambda b, t: _resaved(b, t, _meta("next_epoch", "1")),
+    "next_epoch_past_end": lambda b, t: _resaved(b, t, _meta("next_epoch", 99)),
+    "next_epoch_negative": lambda b, t: _resaved(b, t, _meta("next_epoch", -1)),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
 def test_corrupt_train_state_rejected(tmp_path, kind):
     X, y = _toy_data(n=8)
-    train(init_parameters(tiny_config(), seed=0), X, y, quick_cfg(epochs=2),
-          stop_after_epoch=1, state_path=tmp_path / "state")
+    model, cfg = init_parameters(tiny_config(), seed=0), quick_cfg(epochs=2)
+    train(model, X, y, cfg, stop_after_epoch=1, state_path=tmp_path / "state")
     path = tmp_path / "state"
     path.write_bytes(CORRUPTIONS[kind](path.read_bytes(), tmp_path))
-    with pytest.raises(CheckpointError, match="not a valid train state"):
-        load_train_state(path)
+    with pytest.raises(CheckpointError, match="not a valid train state|optimizer"):
+        train(model, X, y, cfg, resume=load_train_state(path))
 
 
 def test_missing_train_state_is_os_error(tmp_path):
