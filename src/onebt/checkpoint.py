@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -28,7 +29,8 @@ class CheckpointError(ValueError):
 
 
 def save_arrays(path, meta, arrays):
-    """Write JSON-able meta and {name: float32 or float64 array}, sealed."""
+    """Write JSON-able meta and {name: float32 or float64 array}, sealed, to a
+    temp file that then replaces `path`: a failed write leaves `path` as it was."""
     blob = json.dumps(meta, sort_keys=True).encode()
     parts = [MAGIC, struct.pack("<II", VERSION, len(blob)), blob, struct.pack("<I", len(arrays))]
     for name, a in arrays.items():
@@ -36,8 +38,14 @@ def save_arrays(path, meta, arrays):
         parts += [struct.pack(f"<H{len(raw)}sBB{a.ndim}I", len(raw), raw, a.itemsize, a.ndim, *a.shape),
                   np.ascontiguousarray(a, dtype=f"<f{a.itemsize}").tobytes()]
     body = b"".join(parts)
-    with open(path, "wb") as f:
-        f.write(body + hashlib.sha256(body).digest())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(body + hashlib.sha256(body).digest())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _need(f, n, what):
@@ -101,7 +109,7 @@ def load_model(path, expected_cfg=None):
     meta, arrays = load_arrays(path)
     try:
         cfg = ModelConfig.from_dict(meta)
-    except (ValueError, TypeError) as e:     # not an object, or a bad config
+    except ValueError as e:                  # not an object, or a bad config
         raise CheckpointError(f"malformed embedded config: {e}") from e
     if expected_cfg is not None and cfg != expected_cfg:
         raise CheckpointError("checkpoint config does not match the expected config")

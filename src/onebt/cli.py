@@ -23,7 +23,7 @@ from .data import DataError, SynthSpec, Task, generate_synthetic, load_dataset, 
 from .harness import fit, run_loso
 from .metrics import cross_task_mean, fmt_mean_std, render_table, write_records
 from .model import ModelConfig
-from .tensor import ConfigError, NumericError, config_from_dict
+from .tensor import ConfigError, NumericError, check_field_types, config_from_dict
 from .train import TrainConfig
 
 EXIT_CODES = {"config": 3, "data": 4, "checkpoint": 5, "numeric": 6, "io": 7}
@@ -45,6 +45,7 @@ class RunSpec:
     out_dir: str | None = None
 
     def __post_init__(self):
+        check_field_types(RunSpec, vars(self), "run spec")
         object.__setattr__(self, "train", replace(self.train, seed=self.seed))
         if self.task is not None:
             Task.from_name(self.task)
@@ -63,10 +64,10 @@ class RunSpec:
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             try:
                 raw = json.load(f)
-            except json.JSONDecodeError as e:
+            except ValueError as e:              # bad JSON or bad utf-8
                 raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
         return cls.from_dict(raw)
 

@@ -159,7 +159,7 @@ def _write_sidecar(path, m):
         f"per_cell: {m.samples_per_subject_per_level_per_task}",
         f"provenance: {m.provenance}",
     ]
-    with open(str(path) + ".manifest.txt", "w") as f:
+    with open(str(path) + ".manifest.txt", "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
 
@@ -214,13 +214,13 @@ def load_dataset(path):
 
 def _read_sidecar_provenance(path):
     try:
-        with open(str(path) + ".manifest.txt") as f:
-            for line in f:
-                if line.startswith("provenance: "):
-                    return line[len("provenance: "):].rstrip("\n")
+        with open(f"{path}.manifest.txt", encoding="utf-8") as f:
+            return next((line[len("provenance: "):].rstrip("\n")
+                         for line in f if line.startswith("provenance: ")), "")
     except OSError:
-        pass
-    return ""
+        return ""
+    except UnicodeDecodeError as e:
+        raise DataError(f"sidecar {path}.manifest.txt is not utf-8: {e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,12 @@ All blocks are pre-norm with residual connections; feed-forwards are gated
 """
 
 import functools
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .tensor import (
-    Tensor, Parameter, ShapeError, ConfigError, config_from_dict,
+    Tensor, Parameter, ShapeError, ConfigError, check_field_types, config_from_dict,
     matmul, linear, add, mul, scale, gelu, softmax_rows, standardize, layer_norm,
     mean_axis, dropout, reshape, swap_axes,
 )
@@ -52,20 +51,20 @@ class ModelConfig:
         return self.input_channels + 2 * self.num_freq_bands + 1
 
     def __post_init__(self):
+        check_field_types(ModelConfig, vars(self), "model config")     # floats are finite
         positive = ("num_latents", "latent_dim", "cross_heads", "self_heads",
                     "cross_head_dim", "self_head_dim", "num_freq_bands",
                     "input_channels", "ff_mult")
         for name in positive:
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        if not isinstance(self.num_classes, int) or self.num_classes < 2:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
+        if self.num_classes < 2:
             raise ConfigError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
-        if not isinstance(self.self_per_cross, int) or self.self_per_cross < 0:
+        if self.self_per_cross < 0:
             raise ConfigError(f"self_per_cross must be a non-negative integer, got {self.self_per_cross!r}")
-        if not isinstance(self.seq_len, int) or self.seq_len < 2:
+        if self.seq_len < 2:
             raise ConfigError(f"seq_len must be an integer >= 2, got {self.seq_len!r}")
-        if not 2.0 <= self.max_freq < math.inf:       # False for NaN
+        if self.max_freq < 2:
             raise ConfigError(f"max_freq must be finite and >= 2, got {self.max_freq}")
         for name in ("attn_dropout", "ff_dropout"):
             v = getattr(self, name)

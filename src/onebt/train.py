@@ -7,14 +7,13 @@ bias-corrected Adam step). No early stopping; final-epoch weights are the
 result. Gradient clipping and the two augmentations are off by default.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .tensor import (NumericError, ConfigError, backward, config_from_dict,
-                     cross_entropy_label_smoothed)
+from .tensor import (NumericError, ConfigError, backward, check_field_types,
+                     config_from_dict, cross_entropy_label_smoothed)
 from .checkpoint import CheckpointError, load_arrays, save_arrays
 from .data import DataError
 from .metrics import confusion_matrix
@@ -39,20 +38,20 @@ class TrainConfig:
     aug_cutout_frac: float = 0.0        # zeroed fraction of the window
 
     def __post_init__(self):
+        check_field_types(TrainConfig, vars(self), "train config")     # floats are finite
         # a list from a config file compares and hashes like the default tuple
         object.__setattr__(self, "betas", tuple(self.betas))
-        # a chained comparison is False for NaN, and the `< inf` bound rejects inf
         for name in ("lr", "eps"):
-            if not 0.0 < getattr(self, name) < math.inf:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         for name in ("weight_decay", "min_lr", "aug_noise_sigma"):
-            if not 0.0 <= getattr(self, name) < math.inf:
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -107,14 +106,14 @@ class AdamW:
         self.m = {p.name: np.zeros_like(p.data) for p in self.params}
         self.v = {p.name: np.zeros_like(p.data) for p in self.params}
 
-    def step(self, lr, grads=None):
-        """One update. grads overrides the tensors' accumulated .grad if given."""
+    def step(self, lr):
+        """One update from each parameter's accumulated .grad."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for p in self.params:
-            g = grads[p.name] if grads is not None else p.grad
+            g = p.grad
             if g is None:
                 raise NumericError(f"no gradient for parameter {p.name!r}")
             if not np.all(np.isfinite(g)):
@@ -135,17 +134,21 @@ class AdamW:
         """Restore state_dict()'s output; CheckpointError unless each moment
         has its weight's name, shape and dtype."""
         for k in "mv":
-            if set(state[k]) != set(self.m):
-                raise CheckpointError("optimizer state does not match parameter names")
-            for p in self.params:
-                a = state[k][p.name]
-                if a.shape != p.data.shape or a.dtype != p.data.dtype:
-                    raise CheckpointError(
-                        f"optimizer moment {k}.{p.name} is {a.dtype} {a.shape}, "
-                        f"its weight {p.data.dtype} {p.data.shape}")
+            _check_like_params(self.params, state[k], f"optimizer moment {k}")
         self.t = state["t"]
         self.m = {k: np.array(v) for k, v in state["m"].items()}
         self.v = {k: np.array(v) for k, v in state["v"].items()}
+
+
+def _check_like_params(params, arrays, what):
+    """CheckpointError unless arrays maps each parameter name to an array of its shape and dtype."""
+    if set(arrays) != {p.name for p in params}:
+        raise CheckpointError(f"{what} names do not match the parameter names")
+    for p in params:
+        a = arrays[p.name]
+        if a.shape != p.data.shape or a.dtype != p.data.dtype:
+            raise CheckpointError(f"{what}.{p.name} is {a.dtype} {a.shape}, "
+                                  f"the parameter {p.data.dtype} {p.data.shape}")
 
 
 def _clip_grads(params, max_norm):
@@ -193,8 +196,10 @@ def train(model, X, y, cfg, stop_after_epoch=None, state_path=None, resume=None)
     The schedule covers epochs * ceil(n / batch) steps, annealed so the very
     last step lands exactly on min_lr. `stop_after_epoch` ends the loop early
     (schedule unchanged) and `resume` (from load_train_state) continues a
-    stopped run on the same trajectory; a state saved under another config,
-    data size or weights raises CheckpointError.
+    stopped run on the same trajectory, writing the saved weights into the
+    model. A state saved under another config or data size, or whose weights
+    or moments do not fit the model's parameters, raises CheckpointError and
+    leaves the model as it was.
     """
     n = len(X)
     if n == 0:
@@ -215,17 +220,14 @@ def train(model, X, y, cfg, stop_after_epoch=None, state_path=None, resume=None)
             raise CheckpointError(
                 f"train state belongs to another run: saved for n={resume['n']} "
                 f"with {resume['config']}, resuming n={n} with {cfg.to_dict()}")
-        if resume["weights_sha256"] != _weights_sha256(opt.params):
-            raise CheckpointError("train state was saved with other weights than "
-                                  "the model it resumes")
-        opt.load_state_dict(resume["optimizer"])
+        _check_like_params(opt.params, resume["weights"], "saved weight w")
         start_epoch = resume["next_epoch"]
-        if opt.t != start_epoch * steps_per_epoch:
-            raise CheckpointError(f"optimizer step count {opt.t} does not match {start_epoch} "
-                                  f"epochs of {steps_per_epoch} steps")
+        opt.load_state_dict(dict(resume["optimizer"], t=start_epoch * steps_per_epoch))
         shuffle_rng.bit_generator.state = resume["rng"]["shuffle"]
         dropout_rng.bit_generator.state = resume["rng"]["dropout"]
         aug_rng.bit_generator.state = resume["rng"]["augment"]
+        for p in opt.params:
+            p.data = np.array(resume["weights"][p.name])
 
     augmenting = cfg.aug_noise_sigma > 0 or cfg.aug_cutout_frac > 0
     step = start_epoch * steps_per_epoch
@@ -234,7 +236,7 @@ def train(model, X, y, cfg, stop_after_epoch=None, state_path=None, resume=None)
         perm = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         epoch_hits = 0
-        lr_first = lr_last = None
+        first = len(log.step_lrs)
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo:lo + cfg.batch_size]
             xb, yb = X[idx], y[idx]
@@ -249,14 +251,11 @@ def train(model, X, y, cfg, stop_after_epoch=None, state_path=None, resume=None)
                 _clip_grads(model.parameters(), cfg.grad_clip)
             opt.step(lr)
             log.step_lrs.append(lr)
-            lr_last = lr
-            if lr_first is None:
-                lr_first = lr
             epoch_loss += float(loss.data) * len(idx)
             epoch_hits += int((np.argmax(logits.data, axis=-1) == yb).sum())
             step += 1
 
-        log.records.append({"epoch": epoch, "lr": lr_first, "lr_end": lr_last,
+        log.records.append({"epoch": epoch, "lr": log.step_lrs[first], "lr_end": log.step_lrs[-1],
                             "train_loss": epoch_loss / n, "train_acc": epoch_hits / n})
 
         if stop_after_epoch is not None and epoch + 1 >= stop_after_epoch:
@@ -280,25 +279,17 @@ def _rng_state_jsonable(gen):
                 buffer=st["buffer"].tolist())
 
 
-def _weights_sha256(params):
-    h = hashlib.sha256()
-    for p in params:
-        h.update(p.name.encode())
-        h.update(np.ascontiguousarray(p.data).tobytes())
-    return h.hexdigest()
-
-
 def save_train_state(path, opt, next_epoch, shuffle_rng, dropout_rng, aug_rng, cfg, n):
-    """Optimizer moments + step counter + RNG positions, for exact resume,
-    bound to the run's TrainConfig, training-set size and current weights."""
-    meta = {"t": opt.t, "next_epoch": next_epoch, "config": cfg.to_dict(), "n": n,
-            "weights_sha256": _weights_sha256(opt.params),
+    """Weights + optimizer moments + RNG positions, each at full width, for
+    exact resume, bound to the run's TrainConfig and training-set size. The
+    step count is not stored: it is next_epoch epochs of the run's steps."""
+    meta = {"next_epoch": next_epoch, "config": cfg.to_dict(), "n": n,
             "names": [p.name for p in opt.params],
             "rng": {"shuffle": _rng_state_jsonable(shuffle_rng),
                     "dropout": _rng_state_jsonable(dropout_rng),
                     "augment": _rng_state_jsonable(aug_rng)}}
-    save_arrays(path, meta, {f"{k}.{p.name}": getattr(opt, k)[p.name]
-                             for p in opt.params for k in "mv"})
+    save_arrays(path, meta, {f"{k}.{p.name}": a for p in opt.params
+                             for k, a in zip("wmv", (p.data, opt.m[p.name], opt.v[p.name]))})
 
 
 def load_train_state(path):
@@ -306,19 +297,17 @@ def load_train_state(path):
     raises OSError and a malformed one CheckpointError."""
     try:
         meta, arrays = load_arrays(path)
-        m, v = ({name: arrays[f"{k}.{name}"] for name in meta["names"]} for k in "mv")
+        w, m, v = ({name: arrays[f"{k}.{name}"] for name in meta["names"]} for k in "wmv")
         rng = {k: meta["rng"][k] for k in ("shuffle", "dropout", "augment")}
         for state in rng.values():
             np.random.Philox().state = state        # rejects a malformed state
-        t, next_epoch = meta["t"], meta["next_epoch"]
-        if type(t) is not int or t < 0:
-            raise ValueError(f"t must be an integer >= 0, got {t!r}")
+        next_epoch = meta["next_epoch"]
         # the run's epochs: train() refuses a state whose config is not the run's
         if type(next_epoch) is not int or not 0 <= next_epoch <= meta["config"]["epochs"]:
             raise ValueError(f"next_epoch must be an integer in [0, epochs], got {next_epoch!r}")
-        return {"optimizer": {"t": t, "m": m, "v": v},
+        return {"weights": w, "optimizer": {"m": m, "v": v},
                 "next_epoch": next_epoch, "config": meta["config"],
-                "n": meta["n"], "weights_sha256": meta["weights_sha256"], "rng": rng}
+                "n": meta["n"], "rng": rng}
     # container errors are ValueErrors; Philox also raises Index- or OverflowError
     except (LookupError, TypeError, ValueError, OverflowError) as e:
         raise CheckpointError(f"{path} is not a valid train state: {e!r}") from e

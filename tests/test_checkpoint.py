@@ -1,13 +1,18 @@
 """Checkpoint container: bitwise round-trip and rejection of malformed files."""
 
+import builtins
+import errno
 import hashlib
+import os
 import struct
 
 import numpy as np
 import pytest
 
+import onebt.checkpoint
 from onebt.checkpoint import CheckpointError, save_model, load_model
 from onebt.model import ModelConfig, init_parameters
+from onebt.train import TrainConfig, train
 from conftest import tiny_config
 
 
@@ -43,6 +48,49 @@ def test_load_model_draws_no_weights(tmp_path, monkeypatch):
     for a, b in zip(model.parameters(), loaded.parameters()):
         assert a.name == b.name and b.data.dtype == np.float32
         assert a.data.tobytes() == b.data.tobytes()
+
+
+class _DiskFull:
+    """A file whose write stores half the bytes, then fails like a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, blob):
+        self.f.write(blob[:len(blob) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("name", ["model.ckpt", "state"])
+def test_failed_write_leaves_previous_file(tmp_path, monkeypatch, name):
+    """A write that fails part-way leaves the file it would have replaced
+    byte-identical, and no temp file behind."""
+    model = init_parameters(tiny_config(), seed=8)
+    X = np.random.default_rng(0).standard_normal((8, 16, 3)).astype(np.float32)
+    path = tmp_path / name
+
+    def write():
+        if name == "model.ckpt":
+            save_model(model, path)
+        else:
+            train(model, X, np.arange(8) % 2, TrainConfig(epochs=2, batch_size=4),
+                  stop_after_epoch=1, state_path=path)
+
+    write()
+    before = path.read_bytes()
+    model.param("head.bias").data = model.param("head.bias").data + 1.0
+    monkeypatch.setattr(onebt.checkpoint, "open",
+                        lambda p, mode: _DiskFull(builtins.open(p, mode)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [name]
 
 
 def test_round_trip_after_mutation(tmp_path):

@@ -146,6 +146,16 @@ def test_bad_config_json_exits_config(dataset, tmp_path):
     assert rc == EXIT_CODES["config"]
 
 
+def test_config_file_not_utf8_exits_config(dataset, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"seed": 0, "task": "\xff"}')
+    out = tmp_path / "x"
+    rc = main(["train", "--config", str(bad), "--data", dataset, "--out", str(out)])
+    assert rc == EXIT_CODES["config"]
+    assert capsys.readouterr().err.startswith(f"error[config]: config file {bad} ")
+    assert not out.exists()
+
+
 def test_unknown_spec_key_exits_config(dataset, tmp_path):
     rc = main(["train", "--config", _spec_file(tmp_path, optimizer="sgd"),
                "--data", dataset, "--out", str(tmp_path / "x")])
@@ -224,6 +234,20 @@ def test_zero_window_dataset_exits_data(tmp_path, capsys, command):
     assert rc == EXIT_CODES["data"]
     err = capsys.readouterr().err
     assert err == "error[data]: dataset holds no windows\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "loso", "sweep"])
+def test_sidecar_not_utf8_exits_data(dataset, tmp_path, capsys, command):
+    data = tmp_path / "d.eeg"
+    data.write_bytes(Path(dataset).read_bytes())
+    sidecar = tmp_path / "d.eeg.manifest.txt"
+    sidecar.write_bytes(b"samples: 36\nprovenance: \xff\n")
+    out = tmp_path / "out"
+    rc = main([command, "--config", _spec_file(tmp_path), "--data", str(data),
+               "--out", str(out)])
+    assert rc == EXIT_CODES["data"]
+    assert capsys.readouterr().err.startswith(f"error[data]: sidecar {sidecar} is not utf-8")
     assert not out.exists()
 
 

@@ -283,6 +283,12 @@ def test_model_config_is_frozen_and_replace_rechecks():
     assert ModelConfig.from_dict(ModelConfig().to_dict()) == ModelConfig()
 
 
+@pytest.mark.parametrize("field,value", [("num_latents", True), ("max_freq", "x")])
+def test_model_config_rejects_wrong_field_type(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be .* in model config"):
+        ModelConfig(**{field: value})
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_model_config_rejects_nonfinite_max_freq(value):
     with pytest.raises(ConfigError, match="max_freq"):

@@ -8,12 +8,11 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from onebt.checkpoint import CheckpointError, save_model, load_model, load_arrays, save_arrays
+from onebt.checkpoint import CheckpointError, load_arrays, save_arrays
 from onebt.data import DataError
 from onebt.model import init_parameters
 from onebt.tensor import Parameter, ConfigError, NumericError
-from onebt.train import (TrainConfig, AdamW, cosine_lr, train,
-                         save_train_state, load_train_state)
+from onebt.train import TrainConfig, AdamW, cosine_lr, train, load_train_state
 from conftest import tiny_config
 
 
@@ -68,7 +67,8 @@ def test_adamw_zero_grad_pure_decay():
     opt = AdamW([p], weight_decay=0.05)
     lr = 1e-2
     for t in range(3):
-        opt.step(lr, grads={"w": np.zeros(1)})
+        p.grad = np.zeros(1)
+        opt.step(lr)
     assert p.data[0] == pytest.approx(2.0 * (1 - lr * 0.05) ** 3, rel=1e-12)
 
 
@@ -76,7 +76,8 @@ def test_adamw_first_step_magnitude():
     p = _scalar_param(1.0)
     opt = AdamW([p], weight_decay=0.0)
     g = 0.5
-    opt.step(1e-3, grads={"w": np.array([g])})
+    p.grad = np.array([g])
+    opt.step(1e-3)
     assert p.data[0] == pytest.approx(1.0 - 1e-3 * g / (g + 1e-8), rel=1e-9)
 
 
@@ -88,7 +89,8 @@ def test_adamw_matches_scalar_oracle_ten_steps():
         opt = AdamW([p], betas=(0.9, 0.999), eps=1e-8, weight_decay=wd)
         trail = [p.data[0]]
         for g in grads:
-            opt.step(3e-3, grads={"w": np.array([g])})
+            p.grad = np.array([g])
+            opt.step(3e-3)
             trail.append(p.data[0])
         expect = _oracle_adamw(0.7, grads, 3e-3, 0.9, 0.999, 1e-8, wd)
         np.testing.assert_allclose(trail, expect, atol=1e-10)
@@ -103,7 +105,8 @@ def test_adamw_vector_matches_elementwise_scalar():
     opt = AdamW([vec], weight_decay=0.01)
     gs = [rng.standard_normal(5) for _ in range(4)]
     for g in gs:
-        opt.step(1e-2, grads={"v": g})
+        vec.grad = g
+        opt.step(1e-2)
     for i in range(5):
         expect = _oracle_adamw(start[i], [g[i] for g in gs], 1e-2, 0.9, 0.999,
                                1e-8, 0.01)[-1]
@@ -113,8 +116,9 @@ def test_adamw_vector_matches_elementwise_scalar():
 def test_adamw_nan_grad_names_parameter():
     p = _scalar_param(1.0)
     opt = AdamW([p])
+    p.grad = np.array([np.nan])
     with pytest.raises(NumericError, match="'w'"):
-        opt.step(1e-3, grads={"w": np.array([np.nan])})
+        opt.step(1e-3)
 
 
 def test_adamw_state_round_trip():
@@ -122,16 +126,17 @@ def test_adamw_state_round_trip():
     p = Parameter("p", rng.standard_normal(4))
     opt = AdamW([p], weight_decay=0.05)
     for _ in range(3):
-        opt.step(1e-3, grads={"p": rng.standard_normal(4)})
+        p.grad = rng.standard_normal(4)
+        opt.step(1e-3)
     state = opt.state_dict()
     # continue two optimizers in lockstep, one restored from state
     q = Parameter("p", p.data.copy())
     opt2 = AdamW([q], weight_decay=0.05)
     opt2.load_state_dict(state)
     for _ in range(3):
-        g = rng.standard_normal(4)
-        opt.step(1e-3, grads={"p": g})
-        opt2.step(1e-3, grads={"p": g})
+        p.grad = q.grad = rng.standard_normal(4)
+        opt.step(1e-3)
+        opt2.step(1e-3)
     np.testing.assert_array_equal(p.data, q.data)
 
 
@@ -231,26 +236,40 @@ def test_empty_split_rejected():
               np.zeros(0, dtype=np.int64), quick_cfg())
 
 
-def test_resume_reproduces_straight_run(tmp_path):
-    """Stop at epoch 3 of 6, snapshot everything, resume: final weights must
-    equal the uninterrupted run bitwise."""
+def _check_resume_onto_fresh_model(tmp_path, dtype):
+    """Stop at epoch 3 of 6 and resume from the state file alone onto a model
+    built from another seed: the state's weights replace the fresh ones, and
+    the final weights equal the uninterrupted run's bitwise."""
     X, y = _toy_data(n=20)
+    X = X.astype(dtype)
     cfg = quick_cfg(epochs=6, aug_noise_sigma=0.05)
     mcfg = tiny_config(attn_dropout=0.1, ff_dropout=0.1)
 
-    straight = init_parameters(mcfg, seed=11)
+    straight = init_parameters(mcfg, seed=11, dtype=dtype)
     train(straight, X, y, cfg)
 
-    stopped = init_parameters(mcfg, seed=11)
+    stopped = init_parameters(mcfg, seed=11, dtype=dtype)
     train(stopped, X, y, cfg, stop_after_epoch=3, state_path=tmp_path / "state")
-    save_model(stopped, tmp_path / "m.ckpt")
-
-    resumed = load_model(tmp_path / "m.ckpt")
     state = load_train_state(tmp_path / "state")
+    assert state["weights"]["head.bias"].dtype == dtype
+    assert state["optimizer"]["v"]["head.bias"].dtype == dtype
+
+    resumed = init_parameters(mcfg, seed=123, dtype=dtype)
     log = train(resumed, X, y, cfg, resume=state)
     assert [r["epoch"] for r in log.records] == [3, 4, 5]
+    assert log.summary["steps"] == 6 * math.ceil(20 / cfg.batch_size)
     for a, b in zip(straight.parameters(), resumed.parameters()):
+        assert b.data.dtype == dtype
         np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_resume_reproduces_straight_run(tmp_path):
+    _check_resume_onto_fresh_model(tmp_path, np.float32)
+
+
+def test_resume_float64_reproduces_straight_run(tmp_path):
+    """A float64 run resumes at full width: no float32 model file is involved."""
+    _check_resume_onto_fresh_model(tmp_path, np.float64)
 
 
 @pytest.mark.parametrize("n,overrides", [
@@ -269,40 +288,6 @@ def test_resume_refuses_foreign_state(tmp_path, n, overrides):
     X2, y2 = _toy_data(n=n)
     with pytest.raises(CheckpointError, match="another run"):
         train(model, X2, y2, replace(cfg, **overrides), resume=state)
-
-
-def test_resume_refuses_other_weights(tmp_path):
-    """A train state resumes only onto the weights it was saved with."""
-    X, y = _toy_data(n=20)
-    cfg = quick_cfg(epochs=4, batch_size=4, lr=1e-3)
-    model = init_parameters(tiny_config(), seed=0)
-    train(model, X, y, cfg, stop_after_epoch=2, state_path=tmp_path / "state")
-    state = load_train_state(tmp_path / "state")
-    with pytest.raises(CheckpointError, match="other weights"):
-        train(init_parameters(tiny_config(), seed=123), X, y, cfg, resume=state)
-
-
-def test_resume_float64_reproduces_straight_run(tmp_path):
-    """The state file keeps float64 moments at full width, so a float64 run
-    stopped and resumed on its own weights ends bitwise where a straight one
-    does."""
-    X, y = _toy_data(n=20)
-    X = X.astype(np.float64)
-    cfg = quick_cfg(epochs=6, aug_noise_sigma=0.05)
-    mcfg = tiny_config(attn_dropout=0.1, ff_dropout=0.1)
-
-    straight = init_parameters(mcfg, seed=11, dtype=np.float64)
-    train(straight, X, y, cfg)
-
-    resumed = init_parameters(mcfg, seed=11, dtype=np.float64)
-    train(resumed, X, y, cfg, stop_after_epoch=3, state_path=tmp_path / "state")
-    state = load_train_state(tmp_path / "state")
-    assert state["optimizer"]["v"]["head.bias"].dtype == np.float64
-    log = train(resumed, X, y, cfg, resume=state)
-    assert [r["epoch"] for r in log.records] == [3, 4, 5]
-    for a, b in zip(straight.parameters(), resumed.parameters()):
-        assert b.data.dtype == np.float64
-        np.testing.assert_array_equal(a.data, b.data)
 
 
 def _resaved(blob, tmp_path, edit):
@@ -326,9 +311,11 @@ def _flip(blob, i):
     return bytes(b)
 
 
-def _drop_moment(meta, arrays):
-    del arrays["m.head.bias"]
-    return meta
+def _drop(name):
+    def edit(meta, arrays):
+        del arrays[name]
+        return meta
+    return edit
 
 
 def _rng_overflow(meta, arrays):
@@ -336,7 +323,7 @@ def _rng_overflow(meta, arrays):
     return meta
 
 
-def _moment(name, change):
+def _array(name, change):
     def edit(meta, arrays):
         arrays[name] = change(arrays[name])
         return meta
@@ -356,17 +343,16 @@ CORRUPTIONS = {
     "data_flip": lambda b, t: _flip(b, len(b) // 2),
     "trailer_flip": lambda b, t: _flip(b, len(b) - 1),
     "no_meta": lambda b, t: _resaved(b, t, lambda meta, arrays: None),
-    "no_moment": lambda b, t: _resaved(b, t, _drop_moment),
+    "no_moment": lambda b, t: _resaved(b, t, _drop("m.head.bias")),
     "meta_not_json": lambda b, t: _resealed(b[:12] + b"[" + b[13:]),
     "meta_not_dict": lambda b, t: _resaved(b, t, lambda meta, arrays: []),
     "rng_overflow": lambda b, t: _resaved(b, t, _rng_overflow),
     # checksum-valid states that do not fit the run they resume
-    "moment_float64": lambda b, t: _resaved(b, t, _moment("m.head.bias", lambda a: a.astype("f8"))),
-    "moment_shape": lambda b, t: _resaved(b, t, _moment("v.head.bias", lambda a: a[None])),
-    "t_negative": lambda b, t: _resaved(b, t, _meta("t", -5)),
-    "t_bool": lambda b, t: _resaved(b, t, _meta("t", True)),
-    "t_float": lambda b, t: _resaved(b, t, _meta("t", 2.0)),
-    "t_off_schedule": lambda b, t: _resaved(b, t, _meta("t", 3)),     # 1 epoch of 1 step
+    "moment_float64": lambda b, t: _resaved(b, t, _array("m.head.bias", lambda a: a.astype("f8"))),
+    "moment_shape": lambda b, t: _resaved(b, t, _array("v.head.bias", lambda a: a[None])),
+    "weight_float64": lambda b, t: _resaved(b, t, _array("w.head.bias", lambda a: a.astype("f8"))),
+    "weight_shape": lambda b, t: _resaved(b, t, _array("w.head.bias", lambda a: a[None])),
+    "weight_missing": lambda b, t: _resaved(b, t, _drop("w.head.bias")),
     "next_epoch_str": lambda b, t: _resaved(b, t, _meta("next_epoch", "1")),
     "next_epoch_past_end": lambda b, t: _resaved(b, t, _meta("next_epoch", 99)),
     "next_epoch_negative": lambda b, t: _resaved(b, t, _meta("next_epoch", -1)),
@@ -375,13 +361,21 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
 def test_corrupt_train_state_rejected(tmp_path, kind):
+    """Each corruption raises CheckpointError and leaves the model it was to
+    resume onto, one of another seed, as it was."""
     X, y = _toy_data(n=8)
-    model, cfg = init_parameters(tiny_config(), seed=0), quick_cfg(epochs=2)
-    train(model, X, y, cfg, stop_after_epoch=1, state_path=tmp_path / "state")
+    cfg = quick_cfg(epochs=2)
+    train(init_parameters(tiny_config(), seed=0), X, y, cfg, stop_after_epoch=1,
+          state_path=tmp_path / "state")
     path = tmp_path / "state"
     path.write_bytes(CORRUPTIONS[kind](path.read_bytes(), tmp_path))
-    with pytest.raises(CheckpointError, match="not a valid train state|optimizer"):
+    model = init_parameters(tiny_config(), seed=1)
+    before = {p.name: p.data.copy() for p in model.parameters()}
+    with pytest.raises(CheckpointError, match="not a valid train state|optimizer|saved weight"):
         train(model, X, y, cfg, resume=load_train_state(path))
+    for p in model.parameters():
+        np.testing.assert_array_equal(p.data, before[p.name])
+        assert p.data.dtype == before[p.name].dtype
 
 
 def test_missing_train_state_is_os_error(tmp_path):
@@ -450,6 +444,12 @@ def test_train_config_is_frozen_and_replace_rechecks():
     loaded = TrainConfig.from_dict(dict(cfg.to_dict(), seed=7))
     assert loaded.betas == (0.9, 0.999)
     assert loaded == replace(cfg, seed=7) and hash(loaded) == hash(replace(cfg, seed=7))
+
+
+@pytest.mark.parametrize("field,value", [("epochs", 2.5), ("batch_size", 1.5)])
+def test_train_config_rejects_wrong_field_type(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be int in train config"):
+        TrainConfig(**{field: value})
 
 
 @pytest.mark.parametrize("field,value", [
