@@ -114,14 +114,20 @@ def load_model(path, expected_cfg=None):
     if expected_cfg is not None and cfg != expected_cfg:
         raise CheckpointError("checkpoint config does not match the expected config")
     model = init_parameters(cfg, seed=None)      # every weight is read below, none drawn
-    expected = {p.name: p for p in model.parameters()}
-    if len(arrays) != len(expected):
-        raise CheckpointError(f"checkpoint holds {len(arrays)} parameters, config implies {len(expected)}")
-    for name, a in arrays.items():
-        if name not in expected:
-            raise CheckpointError(f"unknown parameter {name!r} in checkpoint")
-        if a.shape != expected[name].data.shape:
-            raise CheckpointError(f"parameter {name!r} has shape {a.shape}, "
-                                  f"config implies {expected[name].data.shape}")
-        expected[name].data = a.astype(np.float32, copy=False)
+    check_like_params(model.parameters(), arrays, "checkpoint parameter")
+    for p in model.parameters():
+        p.data = arrays[p.name]
     return model
+
+
+def check_like_params(params, arrays, what):
+    """CheckpointError unless arrays holds exactly the parameters' names, shapes and dtypes."""
+    names = {p.name for p in params}
+    if set(arrays) != names:
+        raise CheckpointError(f"{what} names do not match the parameters: missing "
+                              f"{sorted(names - set(arrays))}, unknown {sorted(set(arrays) - names)}")
+    for p in params:
+        a = arrays[p.name]
+        if a.shape != p.data.shape or a.dtype != p.data.dtype:
+            raise CheckpointError(f"{what} {p.name!r} is {a.dtype} {a.shape}, "
+                                  f"the parameter {p.data.dtype} {p.data.shape}")

@@ -1,10 +1,10 @@
 """Command-line entry point: gen-data, train, loso, sweep, cost.
 
 Every command exits 0 on success or a categorized nonzero code with one
-`error[category]: ...` line on stderr. Commands that produce files write
-them under --out together with `run.meta` (config hash, seed, version) and
-an echoed `config.json`, so a run is reconstructible from its output
-directory alone.
+`error[category]: ...` line on stderr and no traceback. Commands that
+produce files write them under --out together with `run.meta` (config
+hash, seed, version) and an echoed `config.json`, so a run is
+reconstructible from its output directory alone.
 """
 
 import argparse
@@ -26,9 +26,9 @@ from .model import ModelConfig
 from .tensor import ConfigError, NumericError, check_field_types, config_from_dict
 from .train import TrainConfig
 
-EXIT_CODES = {"config": 3, "data": 4, "checkpoint": 5, "numeric": 6, "io": 7}
-_ERRORS = {"config": ConfigError, "data": DataError, "checkpoint": CheckpointError,
-           "numeric": NumericError, "io": OSError}
+# category: (exception type, exit code); the first type that matches wins
+ERRORS = {"config": (ConfigError, 3), "data": (DataError, 4), "checkpoint": (CheckpointError, 5),
+          "numeric": (NumericError, 6), "io": (OSError, 7), "internal": (Exception, 8)}
 
 
 @dataclass(frozen=True)
@@ -161,11 +161,13 @@ def cmd_train(args, argv):
             raise DataError(f"no samples for task {spec.task}")
 
     os.makedirs(spec.out_dir, exist_ok=True)
-    model, log, _, _ = fit(records, idx, spec.model, spec.train)   # train.seed is spec.seed
+    state = os.path.join(spec.out_dir, "train.state")    # a rerun after a kill continues it
+    model, log, _, _ = fit(records, idx, spec.model, spec.train, state)  # train.seed is spec.seed
     save_model(model, os.path.join(spec.out_dir, "model.ckpt"))
     write_records(os.path.join(spec.out_dir, "train.log.jsonl"), log.records)
     _write_meta(spec.out_dir, "train", spec, argv,
                 {"normalization": "per-channel z-score over the fit set"})
+    os.remove(state)
     print(f"trained {spec.train.epochs} epochs on {len(idx)} samples; "
           f"final loss {log.summary['final_train_loss']:.4f}, "
           f"acc {log.summary['final_train_acc']:.3f}")
@@ -337,10 +339,11 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args, argv)
-    except tuple(_ERRORS.values()) as e:
-        category = next(c for c, cls in _ERRORS.items() if isinstance(e, cls))
-        print(f"error[{category}]: {e}", file=sys.stderr)
-        return EXIT_CODES[category]
+    except Exception as e:
+        category = next(c for c, (cls, _) in ERRORS.items() if isinstance(e, cls))
+        message = f"{type(e).__name__}: {e}" if category == "internal" else e
+        print(f"error[{category}]: {message}", file=sys.stderr)
+        return ERRORS[category][1]
 
 
 if __name__ == "__main__":

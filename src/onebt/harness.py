@@ -25,14 +25,15 @@ def fold_seed(base_seed, fold_id):
     return int(np.random.SeedSequence([base_seed, fold_id]).generate_state(1)[0])
 
 
-def fit(records, idx, model_cfg, train_cfg):
+def fit(records, idx, model_cfg, train_cfg, state_path=None):
     """Z-score the indexed windows with their own statistics and train a fresh
-    model seeded with train_cfg.seed; returns (model, TrainLog, mean, std)."""
+    model seeded with train_cfg.seed, saving and resuming through state_path
+    as train does; returns (model, TrainLog, mean, std)."""
     X, y = samples_to_arrays(records, idx)
     mean, std = channel_stats(X)
     X = normalize(X, mean, std)          # drop the raw gather before training
     model = init_parameters(model_cfg, seed=train_cfg.seed)
-    log = train(model, X, y, train_cfg)
+    log = train(model, X, y, train_cfg, state_path=state_path)
     return model, log, mean, std
 
 

@@ -7,19 +7,20 @@ bias-corrected Adam step). No early stopping; final-epoch weights are the
 result. Gradient clipping and the two augmentations are off by default.
 """
 
+import hashlib
 import math
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .tensor import (NumericError, ConfigError, backward, check_field_types,
                      config_from_dict, cross_entropy_label_smoothed)
-from .checkpoint import CheckpointError, load_arrays, save_arrays
+from .checkpoint import CheckpointError, check_like_params, load_arrays, save_arrays
 from .data import DataError
 from .metrics import confusion_matrix
 
-__all__ = ["TrainConfig", "TrainLog", "AdamW", "cosine_lr", "train",
-           "save_train_state", "load_train_state", "evaluate_confusion"]
+__all__ = ["TrainConfig", "TrainLog", "AdamW", "cosine_lr", "train", "evaluate_confusion"]
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,9 @@ class TrainConfig:
             raise ConfigError(f"aug_cutout_frac must be in [0, 1), got {self.aug_cutout_frac}")
         if self.grad_clip is not None and not self.grad_clip > 0:
             raise ConfigError(f"grad_clip must be > 0 or None, got {self.grad_clip}")
-        if len(self.betas) != 2 or not all(isinstance(b, (int, float)) and 0.0 <= b < 1.0
-                                           for b in self.betas):
+        if len(self.betas) != 2 or not all(
+                isinstance(b, (int, float)) and not isinstance(b, bool) and 0.0 <= b < 1.0
+                for b in self.betas):
             raise ConfigError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
 
     def to_dict(self):
@@ -125,31 +127,6 @@ class AdamW:
             v = self.v[p.name] = b2 * self.v[p.name] + (1 - b2) * (g * g)
             p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
-    def state_dict(self):
-        return {"t": self.t,
-                "m": {k: v.copy() for k, v in self.m.items()},
-                "v": {k: v.copy() for k, v in self.v.items()}}
-
-    def load_state_dict(self, state):
-        """Restore state_dict()'s output; CheckpointError unless each moment
-        has its weight's name, shape and dtype."""
-        for k in "mv":
-            _check_like_params(self.params, state[k], f"optimizer moment {k}")
-        self.t = state["t"]
-        self.m = {k: np.array(v) for k, v in state["m"].items()}
-        self.v = {k: np.array(v) for k, v in state["v"].items()}
-
-
-def _check_like_params(params, arrays, what):
-    """CheckpointError unless arrays maps each parameter name to an array of its shape and dtype."""
-    if set(arrays) != {p.name for p in params}:
-        raise CheckpointError(f"{what} names do not match the parameter names")
-    for p in params:
-        a = arrays[p.name]
-        if a.shape != p.data.shape or a.dtype != p.data.dtype:
-            raise CheckpointError(f"{what}.{p.name} is {a.dtype} {a.shape}, "
-                                  f"the parameter {p.data.dtype} {p.data.shape}")
-
 
 def _clip_grads(params, max_norm):
     total = math.fsum(float((p.grad ** 2).sum()) for p in params if p.grad is not None)
@@ -190,15 +167,15 @@ def evaluate_confusion(model, X, y):
     return confusion_matrix(y, pred, model.cfg.num_classes)
 
 
-def train(model, X, y, cfg, stop_after_epoch=None, state_path=None, resume=None):
+def train(model, X, y, cfg, state_path=None):
     """Fit the model in place; returns a TrainLog.
 
     The schedule covers epochs * ceil(n / batch) steps, annealed so the very
-    last step lands exactly on min_lr. `stop_after_epoch` ends the loop early
-    (schedule unchanged) and `resume` (from load_train_state) continues a
-    stopped run on the same trajectory, writing the saved weights into the
-    model. A state saved under another config or data size, or whose weights
-    or moments do not fit the model's parameters, raises CheckpointError and
+    last step lands exactly on min_lr. With `state_path`, the run's state is
+    written there atomically after every epoch, and a state already there is
+    continued on the same trajectory, its weights written into the model. A
+    state of another config or other data, a corrupt one, or one whose
+    weights or moments do not fit the model raises CheckpointError and
     leaves the model as it was.
     """
     n = len(X)
@@ -212,26 +189,17 @@ def train(model, X, y, cfg, stop_after_epoch=None, state_path=None, resume=None)
     denom = max(total_steps - 1, 1)      # final step hits min_lr exactly
 
     opt = AdamW(model.parameters(), cfg.betas, cfg.eps, cfg.weight_decay)
-    shuffle_rng, dropout_rng, aug_rng = _rng_streams(cfg.seed)
-    start_epoch = 0
+    shuffle_rng, dropout_rng, aug_rng = rngs = _rng_streams(cfg.seed)
     log = TrainLog()
-    if resume is not None:
-        if resume["config"] != cfg.to_dict() or resume["n"] != n:
-            raise CheckpointError(
-                f"train state belongs to another run: saved for n={resume['n']} "
-                f"with {resume['config']}, resuming n={n} with {cfg.to_dict()}")
-        _check_like_params(opt.params, resume["weights"], "saved weight w")
-        start_epoch = resume["next_epoch"]
-        opt.load_state_dict(dict(resume["optimizer"], t=start_epoch * steps_per_epoch))
-        shuffle_rng.bit_generator.state = resume["rng"]["shuffle"]
-        dropout_rng.bit_generator.state = resume["rng"]["dropout"]
-        aug_rng.bit_generator.state = resume["rng"]["augment"]
-        for p in opt.params:
-            p.data = np.array(resume["weights"][p.name])
+    start_epoch = 0
+    if state_path is not None:
+        data_sha256 = _data_sha256(X, y)
+        if os.path.exists(state_path):
+            start_epoch = _restore_state(state_path, opt, rngs, log, cfg, model.cfg, data_sha256)
+    step = opt.t = start_epoch * steps_per_epoch
+    log.step_lrs = [cosine_lr(s, denom, cfg.lr, cfg.min_lr) for s in range(step)]
 
     augmenting = cfg.aug_noise_sigma > 0 or cfg.aug_cutout_frac > 0
-    step = start_epoch * steps_per_epoch
-    epoch = start_epoch - 1
     for epoch in range(start_epoch, cfg.epochs):
         perm = shuffle_rng.permutation(n)
         epoch_loss = 0.0
@@ -257,21 +225,27 @@ def train(model, X, y, cfg, stop_after_epoch=None, state_path=None, resume=None)
 
         log.records.append({"epoch": epoch, "lr": log.step_lrs[first], "lr_end": log.step_lrs[-1],
                             "train_loss": epoch_loss / n, "train_acc": epoch_hits / n})
+        if state_path is not None:
+            _save_state(state_path, opt, rngs, log, cfg, model.cfg, data_sha256)
 
-        if stop_after_epoch is not None and epoch + 1 >= stop_after_epoch:
-            break
-
-    if state_path is not None:
-        save_train_state(state_path, opt, epoch + 1,
-                         shuffle_rng, dropout_rng, aug_rng, cfg, n)
-    log.summary = {"epochs_run": len(log.records), "steps": step}
-    if log.records:
-        log.summary["final_train_loss"] = log.records[-1]["train_loss"]
-        log.summary["final_train_acc"] = log.records[-1]["train_acc"]
+    log.summary = {"epochs_run": len(log.records), "steps": step,
+                   "final_train_loss": log.records[-1]["train_loss"],
+                   "final_train_acc": log.records[-1]["train_acc"]}
     return log
 
 
 # -- resumable state ---------------------------------------------------------
+
+_RNG_NAMES = ("shuffle", "dropout", "augment")      # _rng_streams' order
+
+
+def _data_sha256(X, y):
+    h = hashlib.sha256()
+    for a in (X, y):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a))
+    return h.hexdigest()
+
 
 def _rng_state_jsonable(gen):
     st = gen.bit_generator.state          # Philox: uint64 arrays, the rest plain
@@ -279,35 +253,49 @@ def _rng_state_jsonable(gen):
                 buffer=st["buffer"].tolist())
 
 
-def save_train_state(path, opt, next_epoch, shuffle_rng, dropout_rng, aug_rng, cfg, n):
-    """Weights + optimizer moments + RNG positions, each at full width, for
-    exact resume, bound to the run's TrainConfig and training-set size. The
-    step count is not stored: it is next_epoch epochs of the run's steps."""
-    meta = {"next_epoch": next_epoch, "config": cfg.to_dict(), "n": n,
+def _save_state(path, opt, rngs, log, cfg, model_cfg, data_sha256):
+    """Weights + Adam moments + RNG positions, each at full width, and the
+    epoch records so far, bound to the run's TrainConfig, ModelConfig and
+    data. The step count is not stored: it is next_epoch epochs of the run's steps."""
+    meta = {"next_epoch": len(log.records), "records": log.records,
+            "config": cfg.to_dict(), "model": model_cfg.to_dict(), "data_sha256": data_sha256,
             "names": [p.name for p in opt.params],
-            "rng": {"shuffle": _rng_state_jsonable(shuffle_rng),
-                    "dropout": _rng_state_jsonable(dropout_rng),
-                    "augment": _rng_state_jsonable(aug_rng)}}
+            "rng": dict(zip(_RNG_NAMES, map(_rng_state_jsonable, rngs)))}
     save_arrays(path, meta, {f"{k}.{p.name}": a for p in opt.params
                              for k, a in zip("wmv", (p.data, opt.m[p.name], opt.v[p.name]))})
 
 
-def load_train_state(path):
-    """Inverse of save_train_state, for train(resume=...); a missing file
-    raises OSError and a malformed one CheckpointError."""
+def _restore_state(path, opt, rngs, log, cfg, model_cfg, data_sha256):
+    """Check the state at path against this run, and only then load it into
+    the parameters, opt's moments, the RNG streams and log; returns the next epoch."""
     try:
         meta, arrays = load_arrays(path)
         w, m, v = ({name: arrays[f"{k}.{name}"] for name in meta["names"]} for k in "wmv")
-        rng = {k: meta["rng"][k] for k in ("shuffle", "dropout", "augment")}
-        for state in rng.values():
+        rng = [meta["rng"][k] for k in _RNG_NAMES]
+        for state in rng:
             np.random.Philox().state = state        # rejects a malformed state
-        next_epoch = meta["next_epoch"]
-        # the run's epochs: train() refuses a state whose config is not the run's
-        if type(next_epoch) is not int or not 0 <= next_epoch <= meta["config"]["epochs"]:
+        next_epoch, records, saved = meta["next_epoch"], meta["records"], meta["config"]
+        # the run's epochs: a state whose config is not the run's is refused below
+        if type(next_epoch) is not int or not 0 <= next_epoch <= saved["epochs"]:
             raise ValueError(f"next_epoch must be an integer in [0, epochs], got {next_epoch!r}")
-        return {"weights": w, "optimizer": {"m": m, "v": v},
-                "next_epoch": next_epoch, "config": meta["config"],
-                "n": meta["n"], "rng": rng}
+        if [r["epoch"] for r in records] != list(range(next_epoch)):
+            raise ValueError(f"records are not those of epochs 0..{next_epoch - 1}")
+        other_model = meta["model"] != model_cfg.to_dict()
+        other_data = meta["data_sha256"] != data_sha256
     # container errors are ValueErrors; Philox also raises Index- or OverflowError
     except (LookupError, TypeError, ValueError, OverflowError) as e:
         raise CheckpointError(f"{path} is not a valid train state: {e!r}") from e
+    if saved != cfg.to_dict() or other_model or other_data:
+        raise CheckpointError(
+            f"train state {path} belongs to another run: saved with {saved}"
+            f"{' under another model config' if other_model else ''}"
+            f"{' on other data' if other_data else ''}, resuming with {cfg.to_dict()}")
+    for what, arrays in (("saved weight", w), ("optimizer moment m", m), ("optimizer moment v", v)):
+        check_like_params(opt.params, arrays, what)
+    opt.m, opt.v = m, v
+    for gen, state in zip(rngs, rng):
+        gen.bit_generator.state = state
+    for p in opt.params:
+        p.data = w[p.name]
+    log.records = records
+    return next_epoch

@@ -5,6 +5,8 @@ backward pass: they evaluate a closure twice per coordinate, so gradient
 tests compare two unrelated code paths.
 """
 
+import contextlib
+import importlib
 import sys
 import tempfile
 from pathlib import Path
@@ -54,6 +56,29 @@ def tiny_config(**overrides):
                 ff_mult=2, attn_dropout=0.0, ff_dropout=0.0)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+class Killed(BaseException):
+    """Stands in for a kill: no `except Exception` in the program catches it."""
+
+
+@contextlib.contextmanager
+def killed_after(epoch):
+    """Inside the block, a train() with a state_path dies right after it has
+    saved the state of its first `epoch` epochs, as a kill between epochs
+    would; the block must end that way."""
+    train_module = importlib.import_module("onebt.train")   # onebt.train is the function
+    save_arrays = train_module.save_arrays
+
+    def save_then_die(path, meta, arrays):
+        save_arrays(path, meta, arrays)
+        if meta["next_epoch"] == epoch:
+            raise Killed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(train_module, "save_arrays", save_then_die)
+        with pytest.raises(Killed):
+            yield
 
 
 # Property tests replay the same examples on every run, keep no example

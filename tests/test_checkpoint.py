@@ -4,6 +4,7 @@ import builtins
 import errno
 import hashlib
 import os
+import re
 import struct
 
 import numpy as np
@@ -13,7 +14,7 @@ import onebt.checkpoint
 from onebt.checkpoint import CheckpointError, save_model, load_model
 from onebt.model import ModelConfig, init_parameters
 from onebt.train import TrainConfig, train
-from conftest import tiny_config
+from conftest import killed_after, tiny_config
 
 
 def test_round_trip_bitwise(tmp_path, rng):
@@ -78,15 +79,19 @@ def test_failed_write_leaves_previous_file(tmp_path, monkeypatch, name):
     def write():
         if name == "model.ckpt":
             save_model(model, path)
-        else:
+        else:       # resumes the state killed below and saves epoch 2 over it
             train(model, X, np.arange(8) % 2, TrainConfig(epochs=2, batch_size=4),
-                  stop_after_epoch=1, state_path=path)
+                  state_path=path)
 
-    write()
+    if name == "model.ckpt":
+        write()
+    else:
+        with killed_after(1):
+            write()
     before = path.read_bytes()
     model.param("head.bias").data = model.param("head.bias").data + 1.0
-    monkeypatch.setattr(onebt.checkpoint, "open",
-                        lambda p, mode: _DiskFull(builtins.open(p, mode)), raising=False)
+    monkeypatch.setattr(onebt.checkpoint, "open", lambda p, mode: (
+        _DiskFull if "w" in mode else lambda f: f)(builtins.open(p, mode)), raising=False)
     with pytest.raises(OSError, match="No space left"):
         write()
     assert path.read_bytes() == before
@@ -212,13 +217,13 @@ def test_malformed_embedded_config_rejected(good_checkpoint, cfg):
 
 def test_parameter_count_mismatch_rejected(good_checkpoint):
     p, cfg, records = good_checkpoint
-    _rejects(p, _join(cfg, records[:-1]), f"holds {len(records) - 1} parameters")
+    _rejects(p, _join(cfg, records[:-1]), rf"missing \['{records[-1][0]}'\], unknown \[\]")
 
 
 def test_unknown_parameter_name_rejected(good_checkpoint):
     p, cfg, records = good_checkpoint
     records[0] = ("bogus",) + records[0][1:]
-    _rejects(p, _join(cfg, records), "unknown parameter 'bogus'")
+    _rejects(p, _join(cfg, records), r"unknown \['bogus'\]")
 
 
 def test_duplicate_parameter_name_rejected(good_checkpoint):
@@ -234,7 +239,8 @@ def test_parameter_shape_mismatch_rejected(good_checkpoint):
              if len(shape) == 2 and shape[0] != shape[1])
     name, shape, data = records[i]
     records[i] = (name, shape[::-1], data)
-    _rejects(p, _join(cfg, records), f"parameter {name!r} has shape")
+    _rejects(p, _join(cfg, records), re.escape(
+        f"parameter {name!r} is float32 {tuple(shape[::-1])}, the parameter float32 {tuple(shape)}"))
 
 
 @pytest.mark.parametrize("itemsize, shape", [

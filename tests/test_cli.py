@@ -13,10 +13,14 @@ import numpy as np
 import pytest
 
 from onebt.checkpoint import load_model
-from onebt.cli import main, RunSpec, EXIT_CODES
+import onebt.cli
+from onebt.cli import main, RunSpec, ERRORS
 from onebt.data import DataError, load_dataset
 from onebt.tensor import ConfigError
+from conftest import killed_after
 from reference_tables import PUBLISHED
+
+EXIT_CODES = {category: code for category, (_, code) in ERRORS.items()}
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,8 +80,8 @@ def test_train_writes_artifacts(dataset, tmp_path):
     rc = main(["train", "--config", _spec_file(tmp_path), "--data", dataset,
                "--task", "MATH", "--out", str(out)])
     assert rc == 0
-    for name in ("model.ckpt", "train.log.jsonl", "run.meta", "config.json"):
-        assert (out / name).exists(), name
+    assert sorted(os.listdir(out)) == ["config.json", "model.ckpt", "run.meta",
+                                       "train.log.jsonl"]        # no train.state left
 
     model = load_model(out / "model.ckpt")
     assert model.cfg.seq_len == 32          # geometry came from the data
@@ -97,6 +101,74 @@ def test_train_writes_artifacts(dataset, tmp_path):
     # the echoed config reloads as a valid spec
     spec = RunSpec.from_file(out / "config.json")
     assert spec.model.latent_dim == 8
+
+
+def _tree(d):
+    return {name: (d / name).read_bytes() for name in sorted(os.listdir(d))}
+
+
+def test_train_rerun_after_kill_matches_uninterrupted_run(dataset, tmp_path):
+    """A run killed after its first epoch leaves train.state; the same command
+    run again continues it, and the directory ends byte-identical to an
+    uninterrupted run's, with no train.state left."""
+    out = tmp_path / "run"
+    argv = ["train", "--config", _spec_file(tmp_path), "--data", dataset,
+            "--epochs", "3", "--out", str(out)]
+    assert main(argv) == 0
+    straight = _tree(out)
+    for name in os.listdir(out):
+        os.remove(out / name)
+    with killed_after(1):
+        main(argv)
+    assert os.listdir(out) == ["train.state"]
+    assert main(argv) == 0
+    assert _tree(out) == straight
+
+
+@pytest.mark.parametrize("change", ["seed", "epochs", "model", "data"])
+def test_train_rerun_over_foreign_state_exits_checkpoint(dataset, tmp_path, capsys, change):
+    """A train.state left by a killed run is refused by a rerun with another
+    seed, train config, model config or dataset (exit 5), and --out is left
+    byte-identical. The model change keeps every parameter's shape."""
+    out = tmp_path / "run"
+    argv = ["train", "--config", _spec_file(tmp_path), "--data", dataset, "--out", str(out)]
+    with killed_after(1):
+        main(argv)
+    before = _tree(out)
+    if change == "data":
+        other = tmp_path / "other.eeg"
+        assert main(["gen-data", "--subjects", "3", "--per-level", "2",
+                     "--seq-len", "32", "--seed", "8", "--out", str(other)]) == 0
+        argv[4] = str(other)
+    elif change == "model":
+        _spec_file(tmp_path, model={**TINY_SPEC["model"], "attn_dropout": 0.1})
+    else:
+        argv += [f"--{change}", "5"]
+    capsys.readouterr()
+    assert main(argv) == EXIT_CODES["checkpoint"]
+    assert "belongs to another run" in capsys.readouterr().err
+    assert _tree(out) == before
+
+
+def test_unexpected_error_exits_internal_without_traceback(dataset, tmp_path, capsys):
+    """An exception no category names (here numpy refusing a 10^24-element
+    latent array) exits 8 with its type and message, not a traceback."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"model": {"num_latents": 10 ** 12, "latent_dim": 10 ** 12}}))
+    rc = main(["train", "--config", str(path), "--data", dataset, "--out", str(tmp_path / "x")])
+    assert rc == EXIT_CODES["internal"] == 8
+    err = capsys.readouterr().err
+    assert err.startswith("error[internal]: ValueError: array is too big")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_keyboard_interrupt_is_not_caught(dataset, tmp_path, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(onebt.cli, "fit", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", "--config", _spec_file(tmp_path), "--data", dataset,
+              "--out", str(tmp_path / "x")])
 
 
 def test_train_unknown_task_exits_data(dataset, tmp_path):
@@ -168,6 +240,7 @@ def test_unknown_spec_key_exits_config(dataset, tmp_path):
     {"model": {"max_freq": "a"}}, {"train": {"batch_size": 2.5}},
     {"task": 5}, {"train": {"lr": float("nan")}}, {"model": {"max_freq": float("inf")}},
     {"train": {"grad_clip": -1}}, {"model": {"num_classes": 1}},
+    {"train": {"betas": [False, 0.9]}},
 ], ids=lambda raw: json.dumps(raw, separators=(",", ":")).replace('"', ""))
 def test_malformed_spec_value_exits_config(dataset, tmp_path, capsys, raw):
     path = tmp_path / "spec.json"

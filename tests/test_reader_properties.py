@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 from onebt.checkpoint import CheckpointError, save_model, load_model
 from onebt.data import DataError, SynthSpec, generate_synthetic, save_dataset, load_dataset
 from onebt.model import init_parameters
-from onebt.train import TrainConfig, train, load_train_state
-from conftest import tiny_config
+from onebt.train import TrainConfig, train
+from conftest import killed_after, tiny_config
 
 # On a failure hypothesis's pytest plugin imports libcst, whose import warns
 # through mypy_extensions; as an error that warning would hide the failure.
@@ -31,15 +31,19 @@ def corruptions(blob):
         st.binary(min_size=1, max_size=64).map(lambda extra: blob + extra))
 
 
+_STATE_DATA = (np.random.default_rng(0).standard_normal((8, 16, 3)).astype(np.float32),
+               np.arange(8) % 2)
+_STATE_CFG = TrainConfig(epochs=2, batch_size=4)
+
+
 @pytest.fixture(scope="module")
 def good(tmp_path_factory):
     """A directory with a tiny model checkpoint, train state and dataset."""
     d = tmp_path_factory.mktemp("good")
     save_model(init_parameters(tiny_config(), seed=0), d / "model.ckpt")
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((8, 16, 3)).astype(np.float32)
-    train(init_parameters(tiny_config(), seed=0), X, np.arange(8) % 2,
-          TrainConfig(epochs=2, batch_size=4), stop_after_epoch=1, state_path=d / "state")
+    with killed_after(1):
+        train(init_parameters(tiny_config(), seed=0), *_STATE_DATA, _STATE_CFG,
+              state_path=d / "state")
     manifest, records = generate_synthetic(
         SynthSpec(n_subjects=2, samples_per_cell=1, seq_len=16), seed=0)
     save_dataset(d / "data.eeg", records, manifest.sample_rate_hz, manifest.channel_names)
@@ -62,7 +66,8 @@ def test_corrupt_checkpoint_raises_checkpoint_error(good, bad_file, data):
 def test_corrupt_train_state_raises_checkpoint_error(good, bad_file, data):
     bad_file.write_bytes(data.draw(corruptions((good / "state").read_bytes())))
     with pytest.raises(CheckpointError):
-        load_train_state(bad_file)
+        train(init_parameters(tiny_config(), seed=1), *_STATE_DATA, _STATE_CFG,
+              state_path=bad_file)
 
 
 # a flipped label can unbalance the set, which load_dataset warns about and loads

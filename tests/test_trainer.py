@@ -12,8 +12,8 @@ from onebt.checkpoint import CheckpointError, load_arrays, save_arrays
 from onebt.data import DataError
 from onebt.model import init_parameters
 from onebt.tensor import Parameter, ConfigError, NumericError
-from onebt.train import TrainConfig, AdamW, cosine_lr, train, load_train_state
-from conftest import tiny_config
+from onebt.train import TrainConfig, AdamW, cosine_lr, train, _data_sha256
+from conftest import killed_after, tiny_config
 
 
 # ---------------------------------------------------------------------------
@@ -121,25 +121,6 @@ def test_adamw_nan_grad_names_parameter():
         opt.step(1e-3)
 
 
-def test_adamw_state_round_trip():
-    rng = np.random.default_rng(0)
-    p = Parameter("p", rng.standard_normal(4))
-    opt = AdamW([p], weight_decay=0.05)
-    for _ in range(3):
-        p.grad = rng.standard_normal(4)
-        opt.step(1e-3)
-    state = opt.state_dict()
-    # continue two optimizers in lockstep, one restored from state
-    q = Parameter("p", p.data.copy())
-    opt2 = AdamW([q], weight_decay=0.05)
-    opt2.load_state_dict(state)
-    for _ in range(3):
-        p.grad = q.grad = rng.standard_normal(4)
-        opt.step(1e-3)
-        opt2.step(1e-3)
-    np.testing.assert_array_equal(p.data, q.data)
-
-
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -237,27 +218,31 @@ def test_empty_split_rejected():
 
 
 def _check_resume_onto_fresh_model(tmp_path, dtype):
-    """Stop at epoch 3 of 6 and resume from the state file alone onto a model
-    built from another seed: the state's weights replace the fresh ones, and
-    the final weights equal the uninterrupted run's bitwise."""
+    """Kill a run after epoch 3 of 6 and rerun it from the state file alone
+    onto a model built from another seed: the state's weights replace the
+    fresh ones, and the final weights and the log equal the uninterrupted
+    run's bitwise."""
     X, y = _toy_data(n=20)
     X = X.astype(dtype)
     cfg = quick_cfg(epochs=6, aug_noise_sigma=0.05)
     mcfg = tiny_config(attn_dropout=0.1, ff_dropout=0.1)
+    path = tmp_path / "state"
 
     straight = init_parameters(mcfg, seed=11, dtype=dtype)
-    train(straight, X, y, cfg)
+    straight_log = train(straight, X, y, cfg)
 
-    stopped = init_parameters(mcfg, seed=11, dtype=dtype)
-    train(stopped, X, y, cfg, stop_after_epoch=3, state_path=tmp_path / "state")
-    state = load_train_state(tmp_path / "state")
-    assert state["weights"]["head.bias"].dtype == dtype
-    assert state["optimizer"]["v"]["head.bias"].dtype == dtype
+    with killed_after(3):
+        train(init_parameters(mcfg, seed=11, dtype=dtype), X, y, cfg, state_path=path)
+    meta, arrays = load_arrays(path)
+    assert meta["next_epoch"] == 3 and len(meta["records"]) == 3
+    assert arrays["w.head.bias"].dtype == arrays["v.head.bias"].dtype == dtype
 
     resumed = init_parameters(mcfg, seed=123, dtype=dtype)
-    log = train(resumed, X, y, cfg, resume=state)
-    assert [r["epoch"] for r in log.records] == [3, 4, 5]
+    log = train(resumed, X, y, cfg, state_path=path)
+    assert log.records == straight_log.records
+    assert log == straight_log
     assert log.summary["steps"] == 6 * math.ceil(20 / cfg.batch_size)
+    assert load_arrays(path)[0]["next_epoch"] == 6
     for a, b in zip(straight.parameters(), resumed.parameters()):
         assert b.data.dtype == dtype
         np.testing.assert_array_equal(a.data, b.data)
@@ -272,22 +257,60 @@ def test_resume_float64_reproduces_straight_run(tmp_path):
     _check_resume_onto_fresh_model(tmp_path, np.float64)
 
 
-@pytest.mark.parametrize("n,overrides", [
-    (8, dict(batch_size=8, epochs=9, lr=5e-2)),     # every binding differs
-    (8, {}),                                        # the data size alone
-    (20, dict(lr=5e-2)),                            # the config alone
-], ids=["all", "n", "lr"])
-def test_resume_refuses_foreign_state(tmp_path, n, overrides):
-    """A train state resumes only the run that saved it: same TrainConfig
-    and the same number of training windows."""
+def test_state_path_written_every_epoch_and_finished_run_reruns_nothing(tmp_path):
+    """A straight run with a state_path trains exactly as one without, and
+    rerunning it over its finished state trains no step and returns its log."""
+    X, y = _toy_data(n=20)
+    cfg = quick_cfg(epochs=3)
+    plain = init_parameters(tiny_config(), seed=0)
+    plain_log = train(plain, X, y, cfg)
+    saved = init_parameters(tiny_config(), seed=0)
+    assert train(saved, X, y, cfg, state_path=tmp_path / "state") == plain_log
+    for a, b in zip(plain.parameters(), saved.parameters()):
+        np.testing.assert_array_equal(a.data, b.data)
+    blob = (tmp_path / "state").read_bytes()
+    rerun = init_parameters(tiny_config(), seed=5)
+    assert train(rerun, X, y, cfg, state_path=tmp_path / "state") == plain_log
+    for a, b in zip(plain.parameters(), rerun.parameters()):
+        np.testing.assert_array_equal(a.data, b.data)
+    assert (tmp_path / "state").read_bytes() == blob
+
+
+@pytest.mark.parametrize("n,data_seed,overrides,model_overrides", [
+    (8, 0, dict(batch_size=8, epochs=9, lr=5e-2), {}),  # every binding differs
+    (8, 0, {}, {}),                                     # the data size alone
+    (20, 0, dict(lr=5e-2), {}),                         # the config alone
+    (20, 1, {}, {}),                                    # the windows alone, same n
+    (20, 0, {}, dict(attn_dropout=0.1)),                # the model config alone
+], ids=["all", "n", "lr", "same_n_other_X", "model"])
+def test_resume_refuses_foreign_state(tmp_path, n, data_seed, overrides, model_overrides):
+    """A train state resumes only the run that saved it: same TrainConfig,
+    same ModelConfig (the model case keeps every parameter's shape) and the
+    same training windows and labels. A refusal leaves the state file and
+    the model untouched."""
     X, y = _toy_data(n=20)
     cfg = quick_cfg(epochs=4, batch_size=4, lr=1e-3)
-    model = init_parameters(tiny_config(), seed=0)
-    train(model, X, y, cfg, stop_after_epoch=2, state_path=tmp_path / "state")
-    state = load_train_state(tmp_path / "state")
-    X2, y2 = _toy_data(n=n)
+    path = tmp_path / "state"
+    with killed_after(2):
+        train(init_parameters(tiny_config(), seed=0), X, y, cfg, state_path=path)
+    blob = path.read_bytes()
+    model = init_parameters(tiny_config(**model_overrides), seed=1)
+    before = [p.data.copy() for p in model.parameters()]
+    X2, y2 = _toy_data(n=n, seed=data_seed)
     with pytest.raises(CheckpointError, match="another run"):
-        train(model, X2, y2, replace(cfg, **overrides), resume=state)
+        train(model, X2, y2, replace(cfg, **overrides), state_path=path)
+    assert path.read_bytes() == blob
+    for p, b in zip(model.parameters(), before):
+        np.testing.assert_array_equal(p.data, b)
+
+
+def test_data_hash_binds_layout_and_dtype():
+    """The same bytes laid out as other windows, or read as another dtype,
+    are other data."""
+    X, y = _toy_data(n=20)
+    h = _data_sha256(X, y)
+    assert _data_sha256(X.reshape(20, 8, 6), y) != h
+    assert _data_sha256(X, y.view(np.uint64)) != h
 
 
 def _resaved(blob, tmp_path, edit):
@@ -356,6 +379,7 @@ CORRUPTIONS = {
     "next_epoch_str": lambda b, t: _resaved(b, t, _meta("next_epoch", "1")),
     "next_epoch_past_end": lambda b, t: _resaved(b, t, _meta("next_epoch", 99)),
     "next_epoch_negative": lambda b, t: _resaved(b, t, _meta("next_epoch", -1)),
+    "records_short": lambda b, t: _resaved(b, t, _meta("records", [])),
 }
 
 
@@ -365,22 +389,17 @@ def test_corrupt_train_state_rejected(tmp_path, kind):
     resume onto, one of another seed, as it was."""
     X, y = _toy_data(n=8)
     cfg = quick_cfg(epochs=2)
-    train(init_parameters(tiny_config(), seed=0), X, y, cfg, stop_after_epoch=1,
-          state_path=tmp_path / "state")
     path = tmp_path / "state"
+    with killed_after(1):
+        train(init_parameters(tiny_config(), seed=0), X, y, cfg, state_path=path)
     path.write_bytes(CORRUPTIONS[kind](path.read_bytes(), tmp_path))
     model = init_parameters(tiny_config(), seed=1)
     before = {p.name: p.data.copy() for p in model.parameters()}
     with pytest.raises(CheckpointError, match="not a valid train state|optimizer|saved weight"):
-        train(model, X, y, cfg, resume=load_train_state(path))
+        train(model, X, y, cfg, state_path=path)
     for p in model.parameters():
         np.testing.assert_array_equal(p.data, before[p.name])
         assert p.data.dtype == before[p.name].dtype
-
-
-def test_missing_train_state_is_os_error(tmp_path):
-    with pytest.raises(OSError):
-        load_train_state(tmp_path / "absent")
 
 
 def test_grad_clip_off_is_identity_and_on_caps_norm():
@@ -450,6 +469,13 @@ def test_train_config_is_frozen_and_replace_rechecks():
 def test_train_config_rejects_wrong_field_type(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be int in train config"):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("betas", [(False, 0.9), (0.9, True), [0, True]])
+def test_train_config_rejects_bool_beta(betas):
+    """A bool is no number here, as check_field_types rules for every field."""
+    with pytest.raises(ConfigError, match="betas"):
+        TrainConfig(betas=betas)
 
 
 @pytest.mark.parametrize("field,value", [
