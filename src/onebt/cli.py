@@ -160,9 +160,15 @@ def cmd_train(args, argv):
         if not idx.size:
             raise DataError(f"no samples for task {spec.task}")
 
+    created = not os.path.isdir(spec.out_dir)
     os.makedirs(spec.out_dir, exist_ok=True)
     state = os.path.join(spec.out_dir, "train.state")    # a rerun after a kill continues it
-    model, log, _, _ = fit(records, idx, spec.model, spec.train, state)  # train.seed is spec.seed
+    try:
+        model, log, _, _ = fit(records, idx, spec.model, spec.train, state)  # train.seed is spec.seed
+    except BaseException:
+        if created and not os.listdir(spec.out_dir):     # failed before its first epoch
+            os.rmdir(spec.out_dir)
+        raise
     save_model(model, os.path.join(spec.out_dir, "model.ckpt"))
     write_records(os.path.join(spec.out_dir, "train.log.jsonl"), log.records)
     _write_meta(spec.out_dir, "train", spec, argv,
@@ -177,9 +183,9 @@ def cmd_train(args, argv):
 def cmd_loso(args, argv):
     spec, records = _require_data(_load_spec(args))
     jobs = _jobs(args)
-    os.makedirs(spec.out_dir, exist_ok=True)
     folds, summary = run_loso(records, spec.model, spec.train,
                               task=spec.task, jobs=jobs)
+    os.makedirs(spec.out_dir, exist_ok=True)
     write_records(os.path.join(spec.out_dir, "folds.jsonl"), folds)
     _write_json(os.path.join(spec.out_dir, "summary.json"), asdict(summary))
     _write_meta(spec.out_dir, "loso", spec, argv,

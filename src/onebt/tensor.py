@@ -13,10 +13,16 @@ general broadcasting batched product.
 
 Float32 is the working precision; pass float64 arrays in (e.g. for finite
 difference checks) and every op stays in 64-bit.
+
+On glibc, importing this module makes malloc keep freed memory resident. A
+forward frees its whole graph at once, and the next would otherwise fault the
+same pages in again: ~76k minor faults per table1 blocks=8 batch of 64.
 """
 
+import ctypes
 import dataclasses
 import math
+import platform
 import typing
 
 import numpy as np
@@ -31,6 +37,18 @@ __all__ = [
 _FLOAT_DTYPES = (np.float32, np.float64)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _keep_freed_heap():
+    libc = ctypes.CDLL(None) if platform.libc_ver()[0] == "glibc" else None
+    if hasattr(libc, "mallopt"):   # either setting alone still faults 83k-112k times a batch
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        libc.mallopt.restype = ctypes.c_int
+        libc.mallopt(-3, 32 << 20)     # M_MMAP_THRESHOLD, glibc's 64-bit maximum: all from the heap
+        libc.mallopt(-1, 1 << 30)      # M_TRIM_THRESHOLD, above the ~480 MiB table1 blocks=8 frees
+
+
+_keep_freed_heap()
 
 
 class ShapeError(ValueError):
@@ -374,13 +392,14 @@ def dropout(x, rate, training, rng=None):
         return x
     if rng is None:
         raise ConfigError("dropout: an rng is required when training with rate > 0")
-    keep = 1.0 - rate
-    # float32 uniforms: half the generator work of float64, and ample for a mask
-    mask = (rng.random(x.shape, dtype=np.float32) >= rate).astype(x.dtype) / keep
-    out = x.data * mask
+    # float32 uniforms: half the generator work of float64, and ample for a mask;
+    # a bool mask takes 1 byte an element, and masking before scaling cannot overflow
+    keep = rng.random(x.shape, dtype=np.float32) >= rate
+    scale = np.ones((), x.dtype) / (1.0 - rate)
+    out = x.data * keep * scale
 
     def bwd(g):
-        return (g * mask,)
+        return (g * keep * scale,)
 
     return _make(out, (x,), bwd)
 

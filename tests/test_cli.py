@@ -162,6 +162,21 @@ def test_unexpected_error_exits_internal_without_traceback(dataset, tmp_path, ca
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["train", "loso"])
+def test_model_build_failure_leaves_no_out_dir(dataset, tmp_path, capsys, command):
+    """A config that fails only when the model is built leaves no new --out
+    behind, and an --out that existed before the run stays."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"model": {"num_latents": 10 ** 12, "latent_dim": 10 ** 12}}))
+    for out, existed in ((tmp_path / "new", False), (tmp_path / "old", True)):
+        if existed:
+            out.mkdir()
+        rc = main([command, "--config", str(path), "--data", dataset, "--out", str(out)])
+        assert rc == EXIT_CODES["internal"]
+        assert "error[internal]" in capsys.readouterr().err
+        assert out.exists() == existed and (not existed or not any(out.iterdir()))
+
+
 def test_keyboard_interrupt_is_not_caught(dataset, tmp_path, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt

@@ -1,5 +1,7 @@
 """Tokenizer values, architectural invariances, and init determinism."""
 
+import platform
+import resource
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -466,3 +468,18 @@ def test_quick_gradient_spot_check(rng):
             fd = (fp - fm) / (2 * h)
             ad = p.grad.reshape(-1)[i]
             assert abs(fd - ad) / (abs(fd) + abs(ad) + 1e-12) < 1e-5, name
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc only")
+def test_eval_forward_reuses_freed_heap():
+    """After two warm-up batches, a paper-default eval forward at batch 64
+    takes its buffers from the heap the batch before it freed: under 200 minor
+    page faults each, against ~4,000 when freed pages go back to the kernel."""
+    model = init_parameters(ModelConfig(), seed=0)
+    X = np.random.default_rng(0).standard_normal((64, 1280, 14)).astype(np.float32)
+    for _ in range(2):
+        model.forward(X, training=False)
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        model.forward(X, training=False)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200

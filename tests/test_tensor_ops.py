@@ -236,6 +236,28 @@ def test_dropout_deterministic_given_rng_state():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.1, 0.25, 0.123, 0.9])
+def test_dropout_matches_float_mask_bitwise(dtype, rate):
+    """The bool mask gives the bytes of the float-mask formula it replaced,
+    forward and backward, on signed zeros, infs, nans and the largest finite
+    values (which a scale applied before the mask would overflow)."""
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+               np.finfo(dtype).max, -np.finfo(dtype).max]
+    x = np.random.default_rng(1).standard_normal((6, 5, 40)).astype(dtype)
+    g = np.random.default_rng(2).standard_normal(x.shape).astype(dtype)
+    x.flat[:8] = g.flat[8:16] = special
+    with np.errstate(all="ignore"):
+        out = dropout(Tensor(x, requires_grad=True), rate, True, np.random.default_rng(5))
+        gx, = out.node.backward_fn(g)
+        u = np.random.default_rng(5).random(x.shape, dtype=np.float32)
+        mask = (u >= rate).astype(dtype) / (1.0 - rate)      # the float-mask reference
+        ref_out, ref_gx = x * mask, g * mask
+    assert out.data.dtype == gx.dtype == dtype
+    assert out.data.tobytes() == ref_out.tobytes()
+    assert gx.tobytes() == ref_gx.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # cross entropy
 
