@@ -11,12 +11,12 @@ import hashlib
 import io
 import json
 import math
-import os
 import struct
 
 import numpy as np
 
 from .model import ModelConfig, init_parameters
+from .tensor import write_atomic
 
 __all__ = ["CheckpointError", "save_arrays", "load_arrays", "save_model", "load_model"]
 
@@ -29,8 +29,8 @@ class CheckpointError(ValueError):
 
 
 def save_arrays(path, meta, arrays):
-    """Write JSON-able meta and {name: float32 or float64 array}, sealed, to a
-    temp file that then replaces `path`: a failed write leaves `path` as it was."""
+    """Write JSON-able meta and {name: float32 or float64 array}, sealed, with
+    write_atomic: a failed write leaves `path` as it was."""
     blob = json.dumps(meta, sort_keys=True).encode()
     parts = [MAGIC, struct.pack("<II", VERSION, len(blob)), blob, struct.pack("<I", len(arrays))]
     for name, a in arrays.items():
@@ -38,14 +38,7 @@ def save_arrays(path, meta, arrays):
         parts += [struct.pack(f"<H{len(raw)}sBB{a.ndim}I", len(raw), raw, a.itemsize, a.ndim, *a.shape),
                   np.ascontiguousarray(a, dtype=f"<f{a.itemsize}").tobytes()]
     body = b"".join(parts)
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(body + hashlib.sha256(body).digest())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    write_atomic(path, [body, hashlib.sha256(body).digest()])
 
 
 def _need(f, n, what):

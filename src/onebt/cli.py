@@ -21,9 +21,9 @@ from .checkpoint import CheckpointError, save_model
 from .cost import TABLE_PRESETS, cost_report
 from .data import DataError, SynthSpec, Task, generate_synthetic, load_dataset, save_dataset
 from .harness import fit, run_loso
-from .metrics import cross_task_mean, fmt_mean_std, render_table, write_records
+from .metrics import cross_task_mean, fmt_mean_std, jsonl_text, render_table
 from .model import ModelConfig
-from .tensor import ConfigError, NumericError, check_field_types, config_from_dict
+from .tensor import ConfigError, NumericError, check_field_types, config_from_dict, write_atomic
 from .train import TrainConfig
 
 # category: (exception type, exit code); the first type that matches wins
@@ -71,14 +71,13 @@ class RunSpec:
                 raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
         return cls.from_dict(raw)
 
-    def save(self, path):
-        _write_json(path, self.to_dict())
+
+def _json_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_json(path, obj):
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+def _write(out_dir, name, text):
+    write_atomic(os.path.join(out_dir, name), text.encode("utf-8"))
 
 
 def _config_hash(spec):
@@ -87,13 +86,14 @@ def _config_hash(spec):
 
 
 def _write_meta(out_dir, command, spec, argv, extra=None):
+    """The echoed config.json, then run.meta: every command's last write."""
     meta = {"command": command, "argv": list(argv),
             "config_sha256": _config_hash(spec), "seed": spec.seed,
             "version": __version__}
     if extra:
         meta.update(extra)
-    _write_json(os.path.join(out_dir, "run.meta"), meta)
-    spec.save(os.path.join(out_dir, "config.json"))
+    _write(out_dir, "config.json", _json_text(spec.to_dict()))
+    _write(out_dir, "run.meta", _json_text(meta))
 
 
 def _load_spec(args):
@@ -170,7 +170,7 @@ def cmd_train(args, argv):
             os.rmdir(spec.out_dir)
         raise
     save_model(model, os.path.join(spec.out_dir, "model.ckpt"))
-    write_records(os.path.join(spec.out_dir, "train.log.jsonl"), log.records)
+    _write(spec.out_dir, "train.log.jsonl", jsonl_text(log.records))
     _write_meta(spec.out_dir, "train", spec, argv,
                 {"normalization": "per-channel z-score over the fit set"})
     os.remove(state)
@@ -185,20 +185,19 @@ def cmd_loso(args, argv):
     jobs = _jobs(args)
     folds, summary = run_loso(records, spec.model, spec.train,
                               task=spec.task, jobs=jobs)
-    os.makedirs(spec.out_dir, exist_ok=True)
-    write_records(os.path.join(spec.out_dir, "folds.jsonl"), folds)
-    _write_json(os.path.join(spec.out_dir, "summary.json"), asdict(summary))
-    _write_meta(spec.out_dir, "loso", spec, argv,
-                {"normalization": "per-channel z-score, train-fold statistics",
-                 "jobs": jobs})
     table = render_table(
         ["task", "folds", "accuracy", "precision", "f1"],
         [[spec.task or "all", summary.n_folds,
           fmt_mean_std(summary.accuracy_mean, summary.accuracy_std),
           fmt_mean_std(summary.precision_mean, summary.precision_std),
           fmt_mean_std(summary.f1_mean, summary.f1_std)]])
-    with open(os.path.join(spec.out_dir, "summary.txt"), "w") as f:
-        f.write(table + "\n")
+    os.makedirs(spec.out_dir, exist_ok=True)
+    _write(spec.out_dir, "folds.jsonl", jsonl_text(folds))
+    _write(spec.out_dir, "summary.json", _json_text(asdict(summary)))
+    _write(spec.out_dir, "summary.txt", table + "\n")
+    _write_meta(spec.out_dir, "loso", spec, argv,
+                {"normalization": "per-channel z-score, train-fold statistics",
+                 "jobs": jobs})
     print(table)
     return 0
 
@@ -232,9 +231,8 @@ def cmd_cost(args, argv):
     print(f"convention: {records[0]['convention']}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        write_records(os.path.join(args.out, "cost.jsonl"), records)
-        with open(os.path.join(args.out, "cost.txt"), "w") as f:
-            f.write(text + "\n")
+        _write(args.out, "cost.jsonl", jsonl_text(records))
+        _write(args.out, "cost.txt", text + "\n")
         _write_meta(args.out, "cost", RunSpec(seed=0), argv)
     return 0
 
@@ -244,7 +242,6 @@ def cmd_sweep(args, argv):
     presets = _preset_rows(args.preset)
     spec, records = _require_data(spec)
     jobs = _jobs(args)
-    os.makedirs(spec.out_dir, exist_ok=True)
 
     rows = []
     results = []
@@ -277,9 +274,9 @@ def cmd_sweep(args, argv):
     headers.append("mean")
     text = render_table(headers, rows)
     print(text)
-    with open(os.path.join(spec.out_dir, "sweep.txt"), "w") as f:
-        f.write(text + "\n")
-    write_records(os.path.join(spec.out_dir, "sweep.jsonl"), results)
+    os.makedirs(spec.out_dir, exist_ok=True)
+    _write(spec.out_dir, "sweep.txt", text + "\n")
+    _write(spec.out_dir, "sweep.jsonl", jsonl_text(results))
     _write_meta(spec.out_dir, "sweep", spec, argv, {"preset": args.preset})
     return 0
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import check_field_types
+from .tensor import check_field_types, write_atomic
 
 __all__ = [
     "Task", "EASY", "HARD", "DEFAULT_CHANNELS", "DataError",
@@ -112,8 +112,8 @@ def _check_windows(records, offset=None, size=0):
 # binary format
 
 def save_dataset(path, records, sample_rate_hz, channel_names, provenance=""):
-    """Write a record_dtype(L, C) array as the binary dataset plus a
-    human-readable manifest sidecar."""
+    """Write a record_dtype(L, C) array as the binary dataset, then a
+    human-readable manifest sidecar, each whole or not at all."""
     dt = getattr(records, "dtype", None)
     sig = (getattr(dt, "fields", None) or {}).get("signal")
     shape = sig[0].shape if sig else ()
@@ -134,33 +134,24 @@ def save_dataset(path, records, sample_rate_hz, channel_names, provenance=""):
         if len(raw_names[-1]) > 255:
             raise DataError(f"channel name {name!r} is longer than 255 bytes")
     _check_rate(sample_rate_hz)
-    # every check runs before the file is opened, so a bad window leaves no torn file
+    # every check runs before the first write, so a bad window writes nothing
     _check_windows(records)
     manifest = _build_manifest(records, sample_rate_hz, channel_names, provenance)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<6I", VERSION, len(records), L, C,
-                            sample_rate_hz, manifest.n_subjects))
-        for raw in raw_names:
-            f.write(struct.pack("<B", len(raw)))
-            f.write(raw)
-        f.write(records.tobytes())
-    _write_sidecar(path, manifest)
+    header = struct.pack("<6I", VERSION, len(records), L, C, sample_rate_hz, manifest.n_subjects)
+    write_atomic(path, [MAGIC, header, *(struct.pack("<B", len(raw)) + raw for raw in raw_names),
+                        records.tobytes()])
+    write_atomic(f"{path}.manifest.txt", _sidecar_text(manifest).encode("utf-8"))
     return manifest
 
 
-def _write_sidecar(path, m):
-    lines = [
-        f"samples: {m.n_samples}",
-        f"window: {m.seq_len} x {m.n_channels}",
-        f"sample_rate_hz: {m.sample_rate_hz}",
-        f"subjects: {m.n_subjects}",
-        f"channels: {','.join(m.channel_names)}",
-        f"per_cell: {m.samples_per_subject_per_level_per_task}",
-        f"provenance: {m.provenance}",
-    ]
-    with open(str(path) + ".manifest.txt", "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+def _sidecar_text(m):
+    return (f"samples: {m.n_samples}\n"
+            f"window: {m.seq_len} x {m.n_channels}\n"
+            f"sample_rate_hz: {m.sample_rate_hz}\n"
+            f"subjects: {m.n_subjects}\n"
+            f"channels: {','.join(m.channel_names)}\n"
+            f"per_cell: {m.samples_per_subject_per_level_per_task}\n"
+            f"provenance: {m.provenance}\n")
 
 
 def _need(buf, off, n, what):

@@ -17,7 +17,7 @@ __all__ = [
     "FoldResult", "RunSummary",
     "confusion_matrix", "compute_metrics", "fold_result",
     "aggregate", "cross_task_mean", "fmt_mean_std",
-    "render_table", "write_records",
+    "render_table", "jsonl_text",
 ]
 
 
@@ -122,8 +122,8 @@ def render_table(headers, rows):
     return "\n".join(lines)
 
 
-def write_records(path, records):
-    """Line-delimited JSON, one record per line, keys sorted."""
+def jsonl_text(records):
+    """Line-delimited JSON, one record (dict or dataclass) per line, keys sorted."""
     def clean(v):
         if isinstance(v, np.ndarray):
             return v.tolist()
@@ -131,8 +131,6 @@ def write_records(path, records):
             return v.item()
         return v
 
-    with open(path, "w") as f:
-        for rec in records:
-            if hasattr(rec, "__dataclass_fields__"):
-                rec = asdict(rec)
-            f.write(json.dumps({k: clean(v) for k, v in rec.items()}, sort_keys=True) + "\n")
+    rows = (asdict(rec) if hasattr(rec, "__dataclass_fields__") else rec for rec in records)
+    return "".join(json.dumps({k: clean(v) for k, v in rec.items()}, sort_keys=True) + "\n"
+                   for rec in rows)

@@ -22,6 +22,7 @@ same pages in again: ~76k minor faults per table1 blocks=8 batch of 64.
 import ctypes
 import dataclasses
 import math
+import os
 import platform
 import typing
 
@@ -29,8 +30,8 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Parameter", "ShapeError", "ConfigError", "NumericError", "check_field_types",
-    "config_from_dict", "matmul", "linear", "add", "mul", "scale", "gelu", "softmax_rows",
-    "standardize", "layer_norm", "mean_axis", "dropout", "reshape", "swap_axes",
+    "config_from_dict", "write_atomic", "matmul", "linear", "add", "mul", "scale", "gelu",
+    "softmax_rows", "standardize", "layer_norm", "mean_axis", "dropout", "reshape", "swap_axes",
     "cross_entropy_label_smoothed", "backward",
 ]
 
@@ -79,6 +80,20 @@ def check_field_types(cls, d, what, error=ConfigError):
             raise error(f"{name} must be {expected} in {what}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise error(f"{name} must be finite in {what}, got {value!r}")
+
+
+def write_atomic(path, data):
+    """Write bytes, or a list of byte chunks, to `<path>.tmp` and rename it over
+    path: a write that fails leaves path as it was and no temp file. The one
+    writer of every file the package makes."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(data if isinstance(data, list) else [data])
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def config_from_dict(cls, d, what):

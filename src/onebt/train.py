@@ -225,6 +225,10 @@ def train(model, X, y, cfg, state_path=None):
 
         log.records.append({"epoch": epoch, "lr": log.step_lrs[first], "lr_end": log.step_lrs[-1],
                             "train_loss": epoch_loss / n, "train_acc": epoch_hits / n})
+        # the last step's update meets no later gradient check
+        broken = next((p.name for p in opt.params if not np.isfinite(p.data).all()), None)
+        if broken is not None:
+            raise NumericError(f"non-finite weight {broken!r} after epoch {epoch}")
         if state_path is not None:
             _save_state(state_path, opt, rngs, log, cfg, model.cfg, data_sha256)
 

@@ -5,8 +5,11 @@ backward pass: they evaluate a closure twice per coordinate, so gradient
 tests compare two unrelated code paths.
 """
 
+import builtins
 import contextlib
+import errno
 import importlib
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -79,6 +82,40 @@ def killed_after(epoch):
         mp.setattr(train_module, "save_arrays", save_then_die)
         with pytest.raises(Killed):
             yield
+
+
+class _DiskFull:
+    """A file whose writelines stores half the bytes, then fails like a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def writelines(self, chunks):
+        blob = b"".join(chunks)
+        self.f.write(blob[:len(blob) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@contextlib.contextmanager
+def disk_full(only=None):
+    """Inside the block, write_atomic's file stores half its bytes and then
+    fails like a full disk: on every call, or on the `only`-th call alone."""
+    tensor = importlib.import_module("onebt.tensor")
+    calls = itertools.count(1)
+
+    def open_full(path, mode):
+        f = builtins.open(path, mode)
+        return _DiskFull(f) if only in (None, next(calls)) else f
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "open", open_full, raising=False)
+        yield
 
 
 # Property tests replay the same examples on every run, keep no example

@@ -1,7 +1,5 @@
 """Checkpoint container: bitwise round-trip and rejection of malformed files."""
 
-import builtins
-import errno
 import hashlib
 import os
 import re
@@ -10,11 +8,10 @@ import struct
 import numpy as np
 import pytest
 
-import onebt.checkpoint
 from onebt.checkpoint import CheckpointError, save_model, load_model
 from onebt.model import ModelConfig, init_parameters
 from onebt.train import TrainConfig, train
-from conftest import killed_after, tiny_config
+from conftest import disk_full, killed_after, tiny_config
 
 
 def test_round_trip_bitwise(tmp_path, rng):
@@ -51,25 +48,8 @@ def test_load_model_draws_no_weights(tmp_path, monkeypatch):
         assert a.data.tobytes() == b.data.tobytes()
 
 
-class _DiskFull:
-    """A file whose write stores half the bytes, then fails like a full disk."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.f.close()
-
-    def write(self, blob):
-        self.f.write(blob[:len(blob) // 2])
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
 @pytest.mark.parametrize("name", ["model.ckpt", "state"])
-def test_failed_write_leaves_previous_file(tmp_path, monkeypatch, name):
+def test_failed_write_leaves_previous_file(tmp_path, name):
     """A write that fails part-way leaves the file it would have replaced
     byte-identical, and no temp file behind."""
     model = init_parameters(tiny_config(), seed=8)
@@ -90,9 +70,7 @@ def test_failed_write_leaves_previous_file(tmp_path, monkeypatch, name):
             write()
     before = path.read_bytes()
     model.param("head.bias").data = model.param("head.bias").data + 1.0
-    monkeypatch.setattr(onebt.checkpoint, "open", lambda p, mode: (
-        _DiskFull if "w" in mode else lambda f: f)(builtins.open(p, mode)), raising=False)
-    with pytest.raises(OSError, match="No space left"):
+    with disk_full(), pytest.raises(OSError, match="No space left"):
         write()
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == [name]

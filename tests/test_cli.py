@@ -3,6 +3,7 @@ published cost table through the user-facing entry point."""
 
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -16,8 +17,8 @@ from onebt.checkpoint import load_model
 import onebt.cli
 from onebt.cli import main, RunSpec, ERRORS
 from onebt.data import DataError, load_dataset
-from onebt.tensor import ConfigError
-from conftest import killed_after
+from onebt.tensor import ConfigError, write_atomic
+from conftest import disk_full, killed_after
 from reference_tables import PUBLISHED
 
 EXIT_CODES = {category: code for category, (_, code) in ERRORS.items()}
@@ -175,6 +176,24 @@ def test_model_build_failure_leaves_no_out_dir(dataset, tmp_path, capsys, comman
         assert rc == EXIT_CODES["internal"]
         assert "error[internal]" in capsys.readouterr().err
         assert out.exists() == existed and (not existed or not any(out.iterdir()))
+
+
+@pytest.mark.parametrize("command", ["train", "loso", "sweep"])
+def test_diverged_training_exits_numeric_without_out_dir(dataset, tmp_path, command):
+    """A learning rate that overflows the weights in one step exits 6, and
+    leaves no --out. One step an epoch, so only the end-of-epoch weight check
+    sees it; a subprocess, since tier-1 makes the overflow warning an error."""
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps({"train": {"lr": 1e300, "batch_size": 64}}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--data", dataset, "--epochs", "1", "--out", str(out)]
+    if command == "sweep":
+        argv += ["--preset", "table4"]
+    proc = subprocess.run([sys.executable, "-m", "onebt.cli", *argv], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == EXIT_CODES["numeric"] == 6, proc.stderr
+    assert "error[numeric]: non-finite weight" in proc.stderr
+    assert not out.exists()
 
 
 def test_keyboard_interrupt_is_not_caught(dataset, tmp_path, monkeypatch):
@@ -496,12 +515,72 @@ def test_sweep_tiny(dataset, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# failed writes
+
+def _argv(command, target, dataset, spec, seed):
+    """A run of `command` into target; seed 1 and seed 2 write different files."""
+    if command == "gen-data":
+        return ["gen-data", "--subjects", "2", "--per-level", "1", "--seq-len", "16",
+                "--seed", str(seed), "--out", str(target / "d.eeg")]
+    if command == "cost":                       # no seed: the preset stands in for it
+        return ["cost", "--preset", f"table{seed}", "--out", str(target)]
+    argv = [command, "--config", spec, "--data", dataset, "--seed", str(seed),
+            "--out", str(target)]
+    return argv + (["--preset", "table4", "--epochs", "1"] if command == "sweep" else [])
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "loso", "sweep", "cost"])
+def test_failed_writes_leave_each_file_old_or_new(dataset, tmp_path, capsys, command):
+    """Rerun into a finished run's target with another seed while writes fail
+    part-way. When all fail, it exits 7 and every file is the first run's; when
+    only the k-th fails, for each k, every file is whole and either the first
+    run's or the rerun's. No temp file is left, and a train.state (the resume
+    point) may be."""
+    spec = _spec_file(tmp_path)
+    target = tmp_path / "run"               # one path for every run: run.meta names it
+
+    def run(seed, files=None):
+        """Run into target, which holds exactly `files` ({name: bytes}) first."""
+        shutil.rmtree(target, ignore_errors=True)
+        target.mkdir()
+        for name, blob in (files or {}).items():
+            (target / name).write_bytes(blob)
+        return main(_argv(command, target, dataset, spec, seed))
+
+    assert run(1) == 0
+    old = _tree(target)
+    assert run(2) == 0
+    new = _tree(target)
+    assert old.keys() == new.keys() and old != new
+
+    with disk_full():
+        assert run(2, old) == EXIT_CODES["io"] == 7
+    assert _tree(target) == old
+    for k in range(1, 20):
+        with disk_full(only=k):
+            rc = run(2, old)
+        after = _tree(target)
+        if rc == 0:
+            assert after == new
+            break
+        assert rc == EXIT_CODES["io"]
+        if command == "train":
+            after.pop("train.state", None)
+        assert after.keys() == old.keys()
+        assert all(blob in (old[name], new[name]) for name, blob in after.items()), k
+    else:
+        pytest.fail("the rerun never completed")
+    assert k > 2                                # every command writes at least two files
+    assert "error[io]" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # spec round trip and version
 
 def test_runspec_round_trip(tmp_path):
     spec = RunSpec.from_dict(TINY_SPEC)
     path = tmp_path / "echo.json"
-    spec.save(path)
+    write_atomic(path, onebt.cli._json_text(spec.to_dict()).encode())
     again = RunSpec.from_file(path)
     assert again.to_dict() == spec.to_dict()
 

@@ -8,8 +8,9 @@ import pytest
 
 from onebt.metrics import (FoldResult, confusion_matrix,
                            compute_metrics, fold_result, aggregate,
-                           cross_task_mean, fmt_mean_std, render_table,
-                           write_records)
+                           cross_task_mean, fmt_mean_std, jsonl_text,
+                           render_table)
+from onebt.tensor import write_atomic
 from reference_tables import PUBLISHED
 
 
@@ -119,10 +120,10 @@ def test_render_table_alignment():
 
 def test_write_records_jsonl(tmp_path):
     path = tmp_path / "records.jsonl"
-    write_records(path, [
+    write_atomic(path, jsonl_text([
         {"a": np.float32(1.5), "b": np.array([1, 2])},
         fold_result(3, np.array([[5, 0], [1, 4]])),
-    ])
+    ]).encode())
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 2
     first = json.loads(lines[0])

@@ -1,0 +1,63 @@
+"""The one file writer: whole files or none, and no other writer in the package."""
+
+import ast
+import os
+from pathlib import Path
+
+import pytest
+
+from onebt.tensor import write_atomic
+from conftest import disk_full
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "onebt"
+
+
+@pytest.mark.parametrize("data", [b"abc\n", bytearray(b"abc\n"), [b"ab", memoryview(b"c\n")]])
+def test_writes_bytes_or_chunks_over_the_target(tmp_path, data):
+    path = tmp_path / "f"
+    path.write_bytes(b"old contents")
+    write_atomic(path, data)
+    assert path.read_bytes() == b"abc\n"
+    assert os.listdir(tmp_path) == ["f"]
+
+
+@pytest.mark.parametrize("existed", [True, False])
+def test_failed_write_leaves_target_as_it_was(tmp_path, existed):
+    path = tmp_path / "f"
+    if existed:
+        path.write_bytes(b"old contents")
+    with disk_full(), pytest.raises(OSError, match="No space left"):
+        write_atomic(str(path), [b"new ", b"contents"])
+    assert os.listdir(tmp_path) == (["f"] if existed else [])
+    assert not existed or path.read_bytes() == b"old contents"
+
+
+def _file_writes(path):
+    """(file, enclosing function, call) for each write-mode open, os.replace
+    and os.rename in a source file; an open whose mode is not a literal counts."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+                if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax"):
+                    found.append((path.name, fn, "open"))
+            elif (isinstance(f, ast.Attribute) and f.attr in ("replace", "rename")
+                  and isinstance(f.value, ast.Name) and f.value.id == "os"):
+                found.append((path.name, fn, f"os.{f.attr}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_write_atomic_is_the_only_file_writer():
+    found = [w for path in sorted(SRC.glob("*.py")) for w in _file_writes(path)]
+    assert found == [("tensor.py", "write_atomic", "open"),
+                     ("tensor.py", "write_atomic", "os.replace")]
