@@ -35,7 +35,8 @@ ERRORS = {"config": (ConfigError, 3), "data": (DataError, 4), "checkpoint": (Che
 class RunSpec:
     """Everything one run needs; JSON round-trips losslessly, unknown keys fatal.
 
-    The run seed is the training seed: building a spec copies it into train.
+    The run seed is the training seed: building a spec copies it into train,
+    and from_dict refuses a train.seed that differs from it.
     """
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -57,10 +58,14 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, d):
+        raw = d
         if isinstance(d, dict):
             d = dict(d, model=ModelConfig.from_dict(d.get("model", {})),
                      train=TrainConfig.from_dict(d.get("train", {})))
-        return config_from_dict(cls, d, "run spec")
+        spec = config_from_dict(cls, d, "run spec")
+        if raw.get("train", {}).get("seed", spec.seed) != spec.seed:   # else replaced unseen
+            raise ConfigError(f"train.seed {raw['train']['seed']} differs from the run seed {spec.seed}")
+        return spec
 
     @classmethod
     def from_file(cls, path):
@@ -119,19 +124,9 @@ def _require_data(spec):
 
 
 def _jobs(args):
-    """Fold workers: --jobs, capped by the ONEBT_THREADS variable when it is set."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    raw = os.environ.get("ONEBT_THREADS")
-    if not raw:
-        return args.jobs
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0                        # reported below, like any value under 1
-    if cap < 1:
-        raise ConfigError(f"ONEBT_THREADS must be an integer >= 1, got {raw!r}")
-    return min(args.jobs, cap)
+    return args.jobs
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +233,12 @@ def cmd_cost(args, argv):
 
 
 def cmd_sweep(args, argv):
+    jobs = _jobs(args)
     spec = _load_spec(args)
+    if spec.task is not None:
+        raise ConfigError(f"sweep runs every task, so it takes no task; got {spec.task!r}")
     presets = _preset_rows(args.preset)
     spec, records = _require_data(spec)
-    jobs = _jobs(args)
 
     rows = []
     results = []
@@ -313,7 +310,7 @@ def _build_parser():
         sp.add_argument("--out", help="output directory")
         if jobs:
             sp.add_argument("--jobs", type=int, default=1,
-                            help="parallel fold workers (capped by ONEBT_THREADS)")
+                            help="parallel fold workers; each gets CPUs // jobs BLAS threads")
 
     t = sub.add_parser("train", help="fit one model on a dataset (or one task)")
     common(t)

@@ -7,6 +7,8 @@ driver can run them in worker processes; results are merged by fold id, so
 the jobs count never changes the numbers.
 """
 
+import ctypes
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -50,8 +52,16 @@ def run_fold(records, train_idx, test_idx, model_cfg, train_cfg, fold_id):
 _worker_env = {}
 
 
-def _init_worker(records, model_cfg, train_cfg):
+def _init_worker(records, model_cfg, train_cfg, workers):
+    """Keep the fold inputs; give numpy's OpenBLAS usable CPUs // workers threads."""
     _worker_env.update(records=records, model_cfg=model_cfg, train_cfg=train_cfg)
+    with open("/proc/self/maps" if os.path.exists("/proc/self/maps") else os.devnull) as f:
+        libs = {line.split()[-1] for line in f if "openblas" in line}     # none off Linux
+    for lib in map(ctypes.CDLL, libs):      # numpy 2's, numpy 1's or a system build's setter
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                getattr(lib, name)(max(1, len(os.sched_getaffinity(0)) // workers))
 
 
 def _run_one(job):
@@ -82,7 +92,7 @@ def run_loso(records, model_cfg, train_cfg, task=None, jobs=1, config_id=""):
         with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker,
-                initargs=(records, model_cfg, train_cfg)) as ex:
+                initargs=(records, model_cfg, train_cfg, workers)) as ex:
             results = list(ex.map(_run_one, jobs_list))
     results.sort(key=lambda r: r.fold_id)
     summary = aggregate(results, config_id=config_id, task=task)

@@ -121,11 +121,15 @@ class AdamW:
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient for parameter {p.name!r}")
             g = np.asarray(g, dtype=p.data.dtype)     # never promote the weights
-            if self.weight_decay:
-                p.data = p.data * (1.0 - lr * self.weight_decay)
-            m = self.m[p.name] = b1 * self.m[p.name] + (1 - b1) * g
-            v = self.v[p.name] = b2 * self.v[p.name] + (1 - b2) * (g * g)
-            p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    if self.weight_decay:
+                        p.data = p.data * (1.0 - lr * self.weight_decay)
+                    m = self.m[p.name] = b1 * self.m[p.name] + (1 - b1) * g
+                    v = self.v[p.name] = b2 * self.v[p.name] + (1 - b2) * (g * g)
+                    p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            except FloatingPointError as e:
+                raise NumericError(f"non-finite weight {p.name!r} in step {self.t}: {e}") from e
 
 
 def _clip_grads(params, max_norm):

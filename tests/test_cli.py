@@ -1,12 +1,15 @@
 """Command line surface: artifacts on disk, determinism, exit codes, and the
 published cost table through the user-facing entry point."""
 
+import ctypes
 import json
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -15,6 +18,7 @@ import pytest
 
 from onebt.checkpoint import load_model
 import onebt.cli
+import onebt.harness
 from onebt.cli import main, RunSpec, ERRORS
 from onebt.data import DataError, load_dataset
 from onebt.tensor import ConfigError, write_atomic
@@ -180,9 +184,10 @@ def test_model_build_failure_leaves_no_out_dir(dataset, tmp_path, capsys, comman
 
 @pytest.mark.parametrize("command", ["train", "loso", "sweep"])
 def test_diverged_training_exits_numeric_without_out_dir(dataset, tmp_path, command):
-    """A learning rate that overflows the weights in one step exits 6, and
-    leaves no --out. One step an epoch, so only the end-of-epoch weight check
-    sees it; a subprocess, since tier-1 makes the overflow warning an error."""
+    """A learning rate that overflows the weights in one step exits 6 with one
+    line on stderr, raised by the optimizer update itself (no numpy warning
+    comes first), and leaves no --out. A subprocess, so the warnings tier-1
+    makes errors would show on stderr."""
     path = tmp_path / "diverge.json"
     path.write_text(json.dumps({"train": {"lr": 1e300, "batch_size": 64}}))
     out = tmp_path / "out"
@@ -193,6 +198,7 @@ def test_diverged_training_exits_numeric_without_out_dir(dataset, tmp_path, comm
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert proc.returncode == EXIT_CODES["numeric"] == 6, proc.stderr
     assert "error[numeric]: non-finite weight" in proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
     assert not out.exists()
 
 
@@ -274,7 +280,7 @@ def test_unknown_spec_key_exits_config(dataset, tmp_path):
     {"model": {"max_freq": "a"}}, {"train": {"batch_size": 2.5}},
     {"task": 5}, {"train": {"lr": float("nan")}}, {"model": {"max_freq": float("inf")}},
     {"train": {"grad_clip": -1}}, {"model": {"num_classes": 1}},
-    {"train": {"betas": [False, 0.9]}},
+    {"train": {"betas": [False, 0.9]}}, {"train": {"seed": 5}},
 ], ids=lambda raw: json.dumps(raw, separators=(",", ":")).replace('"', ""))
 def test_malformed_spec_value_exits_config(dataset, tmp_path, capsys, raw):
     path = tmp_path / "spec.json"
@@ -290,11 +296,12 @@ def test_malformed_spec_value_exits_config(dataset, tmp_path, capsys, raw):
     ["train", "--epochs", "0"], ["loso", "--epochs", "0"],
     ["loso", "--jobs", "0"], ["loso", "--jobs", "-3"], ["sweep", "--jobs", "0"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
-def test_bad_override_exits_config_without_out_dir(dataset, tmp_path, argv):
+def test_bad_override_exits_config_without_out_dir(dataset, tmp_path, capsys, argv):
     out = tmp_path / "run"
     rc = main([*argv, "--config", _spec_file(tmp_path), "--data", dataset,
                "--task", "IQ", "--out", str(out)])
     assert rc == EXIT_CODES["config"]
+    assert argv[1].lstrip("-") in capsys.readouterr().err     # refused for the flag given
     assert not out.exists()
 
 
@@ -393,23 +400,36 @@ def test_loso_jobs_parallel_matches_serial(dataset, tmp_path):
     assert (serial / "summary.json").read_bytes() == (par / "summary.json").read_bytes()
 
 
-def test_thread_cap_env_limits_jobs(dataset, tmp_path, monkeypatch):
-    monkeypatch.setenv("ONEBT_THREADS", "1")
-    out = _run_loso(dataset, tmp_path, "capped", "--jobs", "8")
-    meta = json.loads((out / "run.meta").read_text())
-    assert meta["jobs"] == 1
+BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads")
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_bad_thread_cap_env_exits_config(dataset, tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("ONEBT_THREADS", value)
-    out = tmp_path / "capped"
-    rc = main(["loso", "--config", _spec_file(tmp_path), "--data", dataset,
-               "--task", "IQ", "--out", str(out), "--jobs", "2"])
-    assert rc == EXIT_CODES["config"]
-    err = capsys.readouterr().err
-    assert "error[config]" in err and "ONEBT_THREADS" in err
-    assert not out.exists()
+def _mapped_openblas():
+    if not os.path.exists("/proc/self/maps"):
+        return []
+    with open("/proc/self/maps") as f:
+        return sorted({line.split()[-1] for line in f if "openblas" in line})
+
+
+def _blas_threads(_):
+    """(pid, the thread count of each OpenBLAS in this process that reports one)."""
+    time.sleep(0.2)                 # stay busy, so the pool's other worker takes the next job
+    libs = map(ctypes.CDLL, _mapped_openblas())
+    return os.getpid(), [getattr(lib, n)() for lib in libs for n in BLAS_THREAD_GETTERS
+                         if hasattr(lib, n)]
+
+
+def test_fold_workers_split_cpus_for_blas():
+    """Each of two fold workers runs numpy's OpenBLAS at usable CPUs // 2
+    threads (at least 1), not at the all-core pool it inherits."""
+    if not _mapped_openblas():
+        pytest.skip("no OpenBLAS is mapped into this process")
+    with ProcessPoolExecutor(max_workers=2, initializer=onebt.harness._init_worker,
+                             initargs=(None, None, None, 2)) as ex:
+        seen = dict(ex.map(_blas_threads, range(4)))
+    assert len(seen) == 2
+    want = max(1, len(os.sched_getaffinity(0)) // 2)
+    assert all(counts and set(counts) == {want} for counts in seen.values()), seen
 
 
 def _traced_span_names(tmp_path, command):
@@ -492,6 +512,21 @@ def test_sweep_unknown_preset_exits_config_without_out_dir(dataset, tmp_path, ca
     rc = main(["sweep", "--preset", "nope", "--data", dataset, "--out", str(out)])
     assert rc == EXIT_CODES["config"]
     assert "unknown preset" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_sweep_task_exits_config_without_out_dir(dataset, tmp_path, capsys, where):
+    """sweep runs every task, so a task from the flag or the file is refused,
+    not echoed into config.json and ignored."""
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--preset", "table4", "--data", dataset, "--epochs", "1", "--out", str(out)]
+    if where == "flag":
+        argv += ["--config", _spec_file(tmp_path), "--task", "IQ"]
+    else:
+        argv += ["--config", _spec_file(tmp_path, task="IQ")]
+    assert main(argv) == EXIT_CODES["config"]
+    assert "error[config]: sweep runs every task" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -121,6 +121,16 @@ def test_adamw_nan_grad_names_parameter():
         opt.step(1e-3)
 
 
+def test_adamw_overflowing_update_names_parameter():
+    """An update that overflows float32 raises where it happens, with no
+    numpy warning first."""
+    p = Parameter("w", np.ones(3, dtype=np.float32))
+    opt = AdamW([p], weight_decay=0.05)
+    p.grad = np.ones(3, dtype=np.float32)
+    with pytest.raises(NumericError, match="non-finite weight 'w' in step 1"):
+        opt.step(1e300)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 

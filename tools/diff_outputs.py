@@ -3,8 +3,8 @@
     python tools/diff_outputs.py OTHER_SRC [WORK_DIR]
 
 OTHER_SRC is the `src` directory of another checkout (say, the parent commit
-from `git archive`). Each side runs gen-data, train, loso (at --jobs 1 and 2),
-sweep and cost with the same arguments and relative paths, in its own
+from `git archive`). Each side runs gen-data, train, loso and sweep (each at
+--jobs 1 and 2) and cost with the same arguments and relative paths, in its own
 directory under WORK_DIR (a new temporary directory by default). Prints each
 differing file and exits 1 if any output file differs in name or bytes.
 """
@@ -29,6 +29,8 @@ COMMANDS = [
     ["loso", "--data", "d.eeg", "--config", "spec.json", "--task", "IQ", "--jobs", "2",
      "--out", "loso2"],
     ["sweep", "--preset", "table4", "--data", "d.eeg", "--epochs", "1", "--out", "sweep"],
+    ["sweep", "--preset", "table4", "--data", "d.eeg", "--epochs", "1", "--jobs", "2",
+     "--out", "sweep2"],
     ["cost", "--out", "cost"],
 ]
 
