@@ -239,6 +239,12 @@ def cmd_sweep(args, argv):
         raise ConfigError(f"sweep runs every task, so it takes no task; got {spec.task!r}")
     presets = _preset_rows(args.preset)
     spec, records = _require_data(spec)
+    default = asdict(ModelConfig())
+    changed = sorted(k for k, v in asdict(spec.model).items()
+                     if v != default[k] and k not in ("seq_len", "input_channels"))
+    if changed:                         # each preset owns the rest; echoing them would mislead
+        raise ConfigError(f"sweep runs each preset's model, so it takes no model fields "
+                          f"but seq_len and input_channels; got {changed}")
 
     rows = []
     results = []

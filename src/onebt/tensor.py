@@ -38,6 +38,17 @@ __all__ = [
 _FLOAT_DTYPES = (np.float32, np.float64)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# float32 erf(x) = x * P(x^2) / Q(x^2), coefficients from the highest power down
+_ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+          -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+          -1.60960333262415e-02)
+_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+          -7.37332916720468e-03, -1.42647390514189e-02)
+_ERF64 = np.frompyfunc(math.erf, 1, 1)
+# gelu works through its input in flat blocks of this many elements, so that its ~30
+# elementwise passes stay in cache: 64k (256 KiB of float32 per buffer) beat 4k, 16k and
+# 256k on 1M-element inputs
+_GELU_BLOCK = 1 << 16
 
 
 def _keep_freed_heap():
@@ -303,17 +314,62 @@ def scale(a, s):
     return _make(out, (a,), bwd)
 
 
+def _flat_blocks(*arrays):
+    """Matching flat slices of at most _GELU_BLOCK elements; an output must be
+    C-contiguous so that its slices are views."""
+    flat = [a.reshape(-1) for a in arrays]
+    for i in range(0, flat[0].size, _GELU_BLOCK):
+        yield [f[i:i + _GELU_BLOCK] for f in flat]
+
+
+def _erf(t, out, s, q):
+    """out = erf(t). float64 calls math.erf; float32 takes the rational erf of
+    Eigen and XLA on t clamped to [-4, 4], within 5e-7 of erf. Clobbers t, s, q."""
+    if t.dtype == np.float64:
+        out[...] = _ERF64(t)
+        return
+    np.clip(t, -4.0, 4.0, out=t)
+    np.multiply(t, t, out=s)
+    for poly, coefs in ((out, _ERF_P), (q, _ERF_Q)):
+        np.multiply(s, coefs[0], out=poly)
+        for c in coefs[1:-1]:
+            poly += c
+            poly *= s
+        poly += coefs[-1]
+    out *= t
+    out /= q
+    np.clip(out, -1.0, 1.0, out=out)    # the rational overshoots 1 by up to 4e-7 on [3.62, 4)
+
+
 def gelu(a):
-    """Exact gelu, 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    from scipy.special import erf       # here, not at import: scipy costs ~0.35 s to load
+    """gelu, 0.5 * x * (1 + erf(x / sqrt(2))). The erf is exact to rounding in
+    float64 and within 5e-7 of it in float32 (see _erf)."""
     a = _as_tensor(a)
     x = a.data
-    inner = erf(x * _INV_SQRT2)
-    out = 0.5 * x * (1.0 + inner)
+    e = np.empty(x.shape, x.dtype)              # erf(x / sqrt(2)), for the backward
+    out = np.empty_like(e)
+    t, s = np.empty((2, min(x.size, _GELU_BLOCK)), x.dtype)
+    for xb, eb, ob in _flat_blocks(x, e, out):
+        n = xb.size
+        _erf(np.multiply(xb, _INV_SQRT2, out=t[:n]), eb, s[:n], ob)  # ob: scratch until here
+        np.add(eb, 1.0, out=ob)
+        ob *= xb
+        ob *= 0.5
 
     def bwd(g):
-        local = 0.5 * (1.0 + inner) + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return (g * local,)
+        gx = np.empty(x.shape, x.dtype)
+        s = np.empty(min(x.size, _GELU_BLOCK), x.dtype)
+        for xb, eb, gb, ob in _flat_blocks(x, e, g, gx):
+            sb = np.multiply(xb, xb, out=s[:xb.size])
+            sb *= -0.5
+            np.exp(sb, out=sb)
+            sb *= xb
+            sb *= _INV_SQRT2PI
+            np.add(eb, 1.0, out=ob)             # 0.5 * (1 + erf) + x * phi(x)
+            ob *= 0.5
+            ob += sb
+            ob *= gb
+        return (gx,)
 
     return _make(out, (a,), bwd)
 

@@ -530,11 +530,30 @@ def test_sweep_task_exits_config_without_out_dir(dataset, tmp_path, capsys, wher
     assert not out.exists()
 
 
+def test_sweep_model_fields_exit_config_without_out_dir(dataset, tmp_path, capsys):
+    """sweep runs each preset's model, so a config's model fields other than
+    the window geometry are refused, not echoed into config.json and ignored."""
+    out = tmp_path / "sweep"
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"model": {"num_latents": 3, "seq_len": 7, "input_channels": 2}}))
+    rc = main(["sweep", "--preset", "table4", "--config", str(path), "--data", dataset,
+               "--epochs", "1", "--out", str(out)])
+    assert rc == EXIT_CODES["config"]
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: sweep runs each preset's model")
+    assert err.endswith("got ['num_latents']\n")         # the geometry is the data's
+    assert not out.exists()
+
+
 def test_sweep_tiny(dataset, tmp_path, capsys):
     out = tmp_path / "sweep"
     rc = main(["sweep", "--preset", "table4", "--data", dataset,
                "--epochs", "1", "--out", str(out)])
     assert rc == 0
+    again = tmp_path / "again"                  # the echoed config reruns the sweep
+    assert main(["sweep", "--preset", "table4", "--config", str(out / "config.json"),
+                 "--out", str(again)]) == 0
+    assert (again / "sweep.jsonl").read_bytes() == (out / "sweep.jsonl").read_bytes()
     records = [json.loads(l) for l in
                (out / "sweep.jsonl").read_text().strip().split("\n")]
     assert len(records) == 3
@@ -571,7 +590,7 @@ def test_failed_writes_leave_each_file_old_or_new(dataset, tmp_path, capsys, com
     only the k-th fails, for each k, every file is whole and either the first
     run's or the rerun's. No temp file is left, and a train.state (the resume
     point) may be."""
-    spec = _spec_file(tmp_path)
+    spec = _spec_file(tmp_path, **({"model": {}} if command == "sweep" else {}))   # presets own it
     target = tmp_path / "run"               # one path for every run: run.meta names it
 
     def run(seed, files=None):
@@ -651,6 +670,46 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "table3" in proc.stdout
+
+
+NO_SCIPY = """import sys
+
+
+class NoScipy:
+    \"\"\"Refuses scipy, as an install without it would.\"\"\"
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """Every command that builds a model, and the autodiff demo, runs with
+    scipy refused. The finder is a sitecustomize on the path, so the loso
+    --jobs 2 workers start with it too, whatever the start method."""
+    (tmp_path / "sitecustomize.py").write_text(NO_SCIPY)
+    (tmp_path / "spec.json").write_text(json.dumps(TINY_SPEC))
+    env = dict(os.environ, PYTHONPATH=f"{tmp_path}{os.pathsep}{ROOT / 'src'}")
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        return proc.returncode, proc.stderr[-2000:]
+
+    assert run("-c", "import scipy")[0] != 0               # the finder is in force
+    data = ["--data", "d.eeg"]
+    for argv in (["gen-data", "--subjects", "3", "--per-level", "1", "--seq-len", "32",
+                  "--out", "d.eeg"],
+                 ["train", *data, "--config", "spec.json", "--out", "train"],
+                 ["loso", *data, "--config", "spec.json", "--jobs", "2", "--out", "loso"],
+                 ["sweep", *data, "--preset", "table4", "--epochs", "1", "--out", "sweep"]):
+        assert run("-m", "onebt.cli", *argv) == (0, ""), argv
+    assert run(str(ROOT / "demos" / "01_autodiff.py")) == (0, "")
 
 
 def test_cli_import_leaves_scipy_unloaded():

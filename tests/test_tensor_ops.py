@@ -2,11 +2,14 @@
 against central finite differences at 64-bit, and the documented error
 contracts."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erf
 from scipy.special import softmax as sp_softmax
 
+import onebt.tensor
 from onebt.tensor import (Tensor, ShapeError, ConfigError, NumericError,
                           matmul, linear, add, mul, scale, gelu, softmax_rows,
                           standardize, layer_norm, mean_axis, dropout,
@@ -175,6 +178,55 @@ def test_gelu_values():
     expect = 0.5 * x * (1 + erf(x / np.sqrt(2)))
     np.testing.assert_allclose(gelu(Tensor(x.reshape(1, -1))).data[0], expect, atol=1e-12)
     assert gelu(Tensor([0.0])).data[0] == 0.0
+
+
+def _erf32(t):
+    """gelu's float32 erf of t, t left as it was."""
+    t = np.array(t, dtype=np.float32)
+    out, s, q = np.empty((3,) + t.shape, np.float32)
+    onebt.tensor._erf(t, out, s, q)
+    return out
+
+
+def test_float32_erf_within_5e_7_of_math_erf():
+    t = np.concatenate([np.linspace(-6.0, 6.0, 1_200_001),
+                        np.random.default_rng(0).normal(0.0, 2.0, 400_000)]).astype(np.float32)
+    exact = np.frompyfunc(math.erf, 1, 1)(t.astype(np.float64)).astype(np.float64)
+    e = _erf32(t)
+    assert np.abs(e - exact).max() <= 5e-7
+    assert np.abs(e).max() <= 1.0
+    assert np.array_equal(_erf32(-t).view(np.uint32), (-e).view(np.uint32))   # odd, bit for bit
+
+
+def test_float32_erf_saturates_and_keeps_nan():
+    e = _erf32([np.inf, -np.inf, np.nan, 1e30, -1e30, 0.0])
+    np.testing.assert_array_equal(e, [1.0, -1.0, np.nan, 1.0, -1.0, 0.0])
+
+
+def _gelu_fwd_bwd(x, g):
+    t = Tensor(x, requires_grad=True)
+    y = gelu(t)
+    return y.data, y.node.backward_fn(g)[0]
+
+
+BLOCK = onebt.tensor._GELU_BLOCK
+
+
+@pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, "swap_axes"])
+def test_gelu_blocks_match_one_whole_array_pass(rng, monkeypatch, size):
+    """gelu works through its input in flat blocks; forward and backward are
+    bit-identical to one pass over the whole array, on a non-contiguous input too."""
+    if size == "swap_axes":
+        x, g = np.swapaxes(3 * rng.standard_normal((2, 3, BLOCK // 2 + 5), dtype=np.float32), 1, 2)
+        assert not x.flags.c_contiguous
+    else:
+        x, g = 3 * rng.standard_normal((2, size), dtype=np.float32)
+    blocked = _gelu_fwd_bwd(x, g)
+    monkeypatch.setattr(onebt.tensor, "_GELU_BLOCK", x.size + 1)
+    whole = _gelu_fwd_bwd(x, g)
+    for b, w in zip(blocked, whole):
+        assert b.shape == x.shape and b.dtype == np.float32
+        assert b.tobytes() == w.tobytes()
 
 
 def test_add_mul_suffix_broadcast(rng):

@@ -6,7 +6,9 @@ OTHER_SRC is the `src` directory of another checkout (say, the parent commit
 from `git archive`). Each side runs gen-data, train, loso and sweep (each at
 --jobs 1 and 2) and cost with the same arguments and relative paths, in its own
 directory under WORK_DIR (a new temporary directory by default). Prints each
-differing file and exits 1 if any output file differs in name or bytes.
+differing file, with the largest absolute difference among the numeric fields
+of a .json or .jsonl file present on both sides, and exits 1 if any output
+file differs in name or bytes.
 """
 
 import json
@@ -45,13 +47,39 @@ def run_side(src, cwd):
     return {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
 
 
+def numbers(value, path=""):
+    """{path: number} for every int or float leaf of a parsed JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        return {path: value}
+    else:
+        return {}
+    return {p: n for key, v in items for p, n in numbers(v, f"{path}/{key}").items()}
+
+
+def largest_difference(name, a, b):
+    """(|a - b|, path) of the numeric field that moved most, or None."""
+    if name.endswith(".jsonl"):
+        a, b = ([json.loads(line) for line in blob.splitlines()] for blob in (a, b))
+    elif name.endswith(".json"):
+        a, b = json.loads(a), json.loads(b)
+    else:
+        return None
+    a, b = numbers(a), numbers(b)
+    return max(((abs(a[p] - b[p]), p) for p in a.keys() & b.keys()), default=None)
+
+
 def main(argv):
     other = Path(argv[0]).resolve()
     work = Path(argv[1]) if len(argv) > 1 else Path(tempfile.mkdtemp(prefix="onebt-diff-"))
     here, there = run_side(HERE_SRC, work / "here"), run_side(other, work / "other")
     differ = sorted(n for n in here.keys() | there.keys() if here.get(n) != there.get(n))
     for name in differ:
-        print(f"differs: {name}")
+        moved = name in here and name in there and largest_difference(name, here[name], there[name])
+        print(f"differs: {name}" + (f"  max |diff| {moved[0]:.3g} at {moved[1]}" if moved else ""))
     print(f"{len(here.keys() | there.keys()) - len(differ)} identical, {len(differ)} differ, in {work}")
     return 1 if differ else 0
 
