@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointError, save_model
-from .cost import TABLE_PRESETS, cost_report
+from .cost import TABLE_PRESETS, check_fits_memory, cost_report
 from .data import DataError, SynthSpec, Task, generate_synthetic, load_dataset, save_dataset
 from .harness import fit, run_loso
 from .metrics import cross_task_mean, fmt_mean_std, jsonl_text, render_table
@@ -115,11 +115,13 @@ def _load_spec(args):
 
 
 def _require_data(spec):
-    """(spec, records), the spec's window geometry taken from the data."""
+    """(spec, records), the spec's window geometry taken from the data, once the
+    model it makes fits in memory."""
     if not spec.data:
         raise ConfigError("a dataset path is required (--data or the config file)")
     manifest, records = load_dataset(spec.data)
     model = replace(spec.model, seq_len=manifest.seq_len, input_channels=manifest.n_channels)
+    check_fits_memory(model)
     return replace(spec, model=model), records
 
 

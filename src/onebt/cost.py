@@ -9,18 +9,32 @@ tokenizer are excluded.
 FLOPs count the paper's evaluation order, in which cross-attention projects
 every token to keys and values. At run time `model.LatentCrossAttention`
 computes the same products in the latent-side order, which does fewer MACs
-when tokens far outnumber latents, and applies `cross.norm_kv`'s gain and
-bias on the latent side instead of to every token; the counts here, `onebt
-cost` and the pinned tables follow neither, and norms stay outside the count
-in both orders. A time set against these counts (achieved GFLOP/s) is
-therefore paper-convention MACs per second.
+when tokens far outnumber latents, and `tensor.cross_attention` reads the
+window without forming tokens, applying `cross.norm_kv` on the latent side;
+the counts here, `onebt cost` and the pinned tables follow neither, and
+norms stay outside the count in both orders. A time set against these
+counts (achieved GFLOP/s) is therefore paper-convention MACs per second.
+
+The executed token-free order, per window of B, with h heads of width hd,
+m latents, n = seq_len, C = input_channels and c = token_width:
+
+    h·m·n·(2(C + 2) + c - C)        scores and context over [x, μ, σ] and pos
+    + h·m·c·hd + m·h·hd·d           context through W_v, then out_proj
+    + (m·d·h·hd + h·m·hd·c + h·m·n·(c - C)) / B
+                                    q_proj, q W_kᵀ and A_P posᵀ, once a batch
+
+At the paper default (h 1, hd 64, m 16, d 128, n 1280, C 14, c 39, B 32)
+that is 1,338,368 + 683,008 / 32 = 1,359,712 MAC per window, against the
+9,273,344 counted here.
 """
 
+import os
 from dataclasses import dataclass, field
 
 from .model import ModelConfig
+from .tensor import ConfigError
 
-__all__ = ["CostReport", "cost_report", "TABLE_PRESETS"]
+__all__ = ["CostReport", "cost_report", "check_fits_memory", "TABLE_PRESETS"]
 
 FLOP_CONVENTION = "1 MAC = 1 FLOP; matmuls only (projections, attention scores/values, feed-forwards, head)"
 
@@ -86,6 +100,18 @@ def cost_report(cfg):
         gflops=round(flops / 1e9, 2),
         breakdown={"params": pb, "flops": fb},
     )
+
+
+def check_fits_memory(cfg):
+    """ConfigError when training cfg would need more than the machine's physical
+    memory for its parameters alone: 16 bytes each (float32 weights, gradients
+    and two AdamW moments), from the closed-form count, so nothing is allocated."""
+    params = cost_report(cfg).params
+    need, have = 16 * params, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"the model has {params:,} parameters; training them takes "
+                          f"{need / 2**30:,.1f} GiB at 16 bytes each, more than the "
+                          f"{have / 2**30:,.1f} GiB of physical memory")
 
 
 def _cfg(num_latents, latent_dim, self_heads, cross_head_dim, self_head_dim, blocks):

@@ -1,10 +1,12 @@
 """One-block latent-attention transformer for multichannel EEG windows.
 
-A window of L timesteps x C channels is tokenized per timestep: the raw
-channel vector is concatenated with Fourier features of the timestep's
-position on a [-1, 1] grid. A small set of learned latent vectors cross-
-attends to the token sequence once, runs a configurable number of latent
-self-attention blocks, and the mean over latents feeds a linear classifier.
+A window of L timesteps x C channels is one token per timestep: the raw
+channel vector concatenated with Fourier features of the timestep's
+position on a [-1, 1] grid (tokenize builds them; the cross block reads the
+window and the shared features without doing so). A small set of learned
+latent vectors cross-attends to the token sequence once, runs a configurable
+number of latent self-attention blocks, and the mean over latents feeds a
+linear classifier.
 
 All blocks are pre-norm with residual connections; feed-forwards are gated
 (two input projections, one passed through gelu, multiplied elementwise).
@@ -17,7 +19,7 @@ import numpy as np
 
 from .tensor import (
     Tensor, Parameter, ShapeError, ConfigError, check_field_types, config_from_dict,
-    matmul, linear, add, mul, scale, gelu, softmax_rows, standardize, layer_norm,
+    matmul, linear, add, mul, scale, gelu, softmax_rows, layer_norm, cross_attention,
     mean_axis, dropout, reshape, swap_axes,
 )
 
@@ -113,14 +115,8 @@ def tokenize(x, cfg):
     Every timestep becomes one token: its channel vector with the position
     features appended. Returns a leaf Tensor in the input's float precision.
     """
-    arr = np.asarray(x.data if isinstance(x, Tensor) else x)
-    if arr.ndim not in (2, 3):
-        raise ShapeError(f"tokenize: expected [L, C] or [B, L, C], got {arr.shape}")
-    L, C = arr.shape[-2], arr.shape[-1]
-    if L != cfg.seq_len or C != cfg.input_channels:
-        raise ShapeError(
-            f"tokenize: window is {(L, C)}, config expects "
-            f"{(cfg.seq_len, cfg.input_channels)}")
+    arr = _check_window(x.data if isinstance(x, Tensor) else x, cfg, "tokenize")
+    L, C = arr.shape[-2:]
     dtype = arr.dtype if arr.dtype == np.float64 else np.float32
     pos = _position_features(L, cfg.num_freq_bands, cfg.max_freq)
     out = np.empty(arr.shape[:-1] + (C + pos.shape[-1],), dtype=dtype)
@@ -129,10 +125,23 @@ def tokenize(x, cfg):
     return Tensor(out)
 
 
+def _check_window(x, cfg, op):
+    """x as an array, once it is a window [L, C] or a batch [B, L, C] of cfg's geometry."""
+    arr = np.asarray(x)
+    if arr.ndim not in (2, 3):
+        raise ShapeError(f"{op}: expected [L, C] or [B, L, C], got {arr.shape}")
+    if arr.shape[-2:] != (cfg.seq_len, cfg.input_channels):
+        raise ShapeError(
+            f"{op}: window is {arr.shape[-2:]}, config expects "
+            f"{(cfg.seq_len, cfg.input_channels)}")
+    return arr
+
+
 @functools.lru_cache(maxsize=8)
-def _position_features(seq_len, num_freq_bands, max_freq):
-    """fourier_encode of the position grid, [seq_len, 2K + 1], shared read-only."""
+def _position_features(seq_len, num_freq_bands, max_freq, dtype=np.float64):
+    """fourier_encode of the position grid, [seq_len, 2K + 1] in dtype, shared read-only."""
     pos = fourier_encode(position_grid(seq_len), frequency_bands(num_freq_bands, max_freq))
+    pos = pos.astype(dtype, copy=False)
     pos.flags.writeable = False
     return pos
 
@@ -238,41 +247,28 @@ class LatentCrossAttention(Attention):
         q kᵀ  = (q W_kᵀ) tᵀ       probs v = (probs t) W_v
 
     are the same products summed in another order. This order never builds
-    the [..., n, h*hd] key and value tensors; its cost is about
-    2·m·n·c·h + 2·m·c·hd·h MAC against 2·n·c·hd·h + 2·m·n·hd·h, so it
-    wins when n ≫ m and c < hd (latents reading a long, narrow token
-    sequence). Parameters, their names and their init are those of
-    Attention; only the evaluation order differs, so float results agree
-    with Attention.__call__ up to rounding.
+    the [..., n, h*hd] key and value tensors: tensor.cross_attention attends
+    with the [..., h, m, c] queries q W_kᵀ/√hd straight over the tokens, and
+    W_v applies to its [..., h, m, c] context. That wins when n ≫ m and
+    c < hd (latents reading a long, narrow token sequence). Parameters, their
+    names and their init are those of Attention; only the evaluation order
+    differs, so float results agree with Attention.__call__ up to rounding.
 
-    kv_affine=(γ, β) attends over t⊙γ + β instead of t, without forming it
-    (LayerNorm's affine folded into the latent side, with qk = q W_kᵀ/√hd):
-
-        qk (t⊙γ + β)ᵀ = (qk⊙γ) tᵀ + (qk·β) 𝟙ᵀ
-        probs (t⊙γ + β) = (probs t)⊙γ + rowsum(probs) ⊗ β
-
-    The second score term is constant along the key axis, so softmax drops
-    it. The row sum stays explicit: after inverted dropout it is not 1.
-    γ and β then touch [..., h, m, c] tensors only, never the n tokens.
+    kv_in is either whole tokens [..., n, c], or windows [..., n, C] with
+    pos [n, c - C], the position columns every window shares. kv_norm, a
+    LayerNorm over c, attends over kv_norm(t) instead of t without forming
+    it (cross_attention's norm).
     """
 
     def __call__(self, q_in, kv_in, attn_dropout=0.0, training=False, rng=None,
-                 kv_affine=None):
+                 kv_norm=None, pos=None):
         wk, wv = (swap_axes(reshape(w, (w.shape[0], self.heads, self.head_dim)), 0, 1)
                   for w in (self.k.weight, self.v.weight))   # [h, c, hd]
         q = self._split(self.q(q_in))                               # [..., h, m, hd]
         qk = scale(matmul(q, swap_axes(wk, -1, -2)), 1.0 / np.sqrt(self.head_dim))
-        if kv_affine is not None:
-            gain, bias = kv_affine
-            qk = mul(qk, gain)                                      # [..., h, m, c]
-        t = reshape(kv_in, kv_in.shape[:-2] + (1,) + kv_in.shape[-2:])   # [..., 1, n, c]
-        scores = matmul(qk, swap_axes(t, -1, -2))                   # [..., h, m, n]
-        probs = dropout(softmax_rows(scores), attn_dropout, training, rng)
-        ctx = matmul(probs, t)                                      # [..., h, m, c]
-        if kv_affine is not None:
-            rowsum = matmul(probs, np.ones((t.shape[-2], 1), probs.dtype))   # [..., h, m, 1]
-            ctx = add(mul(ctx, gain), matmul(rowsum, reshape(bias, (1, -1))))
-        return self._merge(matmul(ctx, wv))
+        norm = None if kv_norm is None else (kv_norm.gain, kv_norm.bias)
+        ctx = cross_attention(qk, kv_in, pos, norm, attn_dropout, training, rng)
+        return self._merge(matmul(ctx, wv))                         # [..., h, m, c] @ W_v
 
 
 class GatedFeedForward:
@@ -293,9 +289,8 @@ class GatedFeedForward:
 class CrossBlock:
     """Latents attend to tokens, then a gated feed-forward; both residual, pre-norm.
 
-    The tokens are only standardized; norm_kv's affine acts on the latent side
-    (LatentCrossAttention's kv_affine), so a window that needs no gradient
-    puts no [B, n, c] tensor into the graph.
+    norm_kv runs inside the attention op (LatentCrossAttention's kv_norm), so a
+    window with its pos columns is never made into a [B, n, c] token array.
     """
 
     def __init__(self, reg, name, cfg):
@@ -307,9 +302,9 @@ class CrossBlock:
         self.norm_ff = LayerNorm(reg, f"{name}.norm_ff", d)
         self.ff = GatedFeedForward(reg, f"{name}.ff", d, cfg.ff_mult)
 
-    def __call__(self, latents, tokens, cfg, training, rng):
-        att = self.attn(self.norm_q(latents), standardize(tokens), cfg.attn_dropout,
-                        training, rng, (self.norm_kv.gain, self.norm_kv.bias))
+    def __call__(self, latents, x, cfg, training, rng, pos=None):
+        att = self.attn(self.norm_q(latents), x, cfg.attn_dropout, training, rng,
+                        self.norm_kv, pos)
         latents = add(att, latents)
         h = self.ff(self.norm_ff(latents), cfg.ff_dropout, training, rng)
         return add(h, latents)
@@ -371,17 +366,26 @@ class OneBlockTransformer:
     # -- forward ------------------------------------------------------------
 
     def forward(self, x, training=False, rng=None):
-        """Window(s) to logits. Accepts [L, C] -> [num_classes] or [B, L, C] -> [B, num_classes]."""
-        tokens = x if isinstance(x, Tensor) else tokenize(x, self.cfg)
-        if tokens.shape[-1] != self.cfg.token_width:
-            raise ShapeError(
-                f"forward: token width {tokens.shape[-1]} != configured {self.cfg.token_width}")
-        lat = self.latents
-        if lat.dtype != tokens.dtype:
-            tokens = Tensor(tokens.data.astype(lat.dtype))
-        lat = self.cross(lat, tokens, self.cfg, training, rng)
+        """Window(s) to logits. Accepts [L, C] -> [num_classes] or [B, L, C] -> [B, num_classes].
+
+        A window array never becomes tokens: the cross block reads it with the
+        shared position features. A Tensor is taken as tokens [..., L, token_width],
+        as tokenize makes them.
+        """
+        cfg, lat = self.cfg, self.latents
+        if isinstance(x, Tensor):
+            if x.shape[-1] != cfg.token_width:
+                raise ShapeError(
+                    f"forward: token width {x.shape[-1]} != configured {cfg.token_width}")
+            pos = None
+            if x.dtype != lat.dtype:
+                x = Tensor(x.data.astype(lat.dtype))
+        else:
+            x = _check_window(x, cfg, "forward").astype(lat.dtype, copy=False)
+            pos = _position_features(cfg.seq_len, cfg.num_freq_bands, cfg.max_freq, lat.dtype)
+        lat = self.cross(lat, x, cfg, training, rng, pos)
         for block in self.blocks:
-            lat = block(lat, self.cfg, training, rng)
+            lat = block(lat, cfg, training, rng)
         pooled = mean_axis(self.final_norm(lat), -2)
         return self.head(pooled)
 

@@ -31,7 +31,7 @@ import numpy as np
 __all__ = [
     "Tensor", "Parameter", "ShapeError", "ConfigError", "NumericError", "check_field_types",
     "config_from_dict", "write_atomic", "matmul", "linear", "add", "mul", "scale", "gelu",
-    "softmax_rows", "standardize", "layer_norm", "mean_axis", "dropout", "reshape", "swap_axes",
+    "softmax_rows", "layer_norm", "cross_attention", "mean_axis", "dropout", "reshape", "swap_axes",
     "cross_entropy_label_smoothed", "backward",
 ]
 
@@ -390,13 +390,6 @@ def softmax_rows(a):
     return _make(p, (a,), bwd)
 
 
-def _standardize(x, eps):
-    """(xhat, inv): the last axis centred and scaled by inv = 1 / sqrt(var + eps)."""
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
-    return xc * inv, inv
-
-
 def _standardize_grad(gh, xhat, inv):
     """dx from gh = d(xhat), fused: inv * (gh - mean(gh) - xhat * mean(gh * xhat))."""
     m1 = gh.mean(axis=-1, keepdims=True)
@@ -404,25 +397,17 @@ def _standardize_grad(gh, xhat, inv):
     return inv * (gh - m1 - xhat * m2)
 
 
-def standardize(x, eps=1e-5):
-    """Normalise the last axis to zero mean / unit variance: layer_norm with no affine."""
-    x = _as_tensor(x)
-    xhat, inv = _standardize(x.data, eps)
-
-    def bwd(g):
-        return (_standardize_grad(g, xhat, inv),)
-
-    return _make(xhat, (x,), bwd)
-
-
 def layer_norm(x, gain, bias, eps=1e-5):
-    """standardize, then the affine xhat * gain + bias."""
+    """The last axis centred and scaled by inv = 1 / sqrt(var + eps), then the affine
+    xhat * gain + bias."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    xhat, inv = _standardize(x.data, eps)
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
     out = xhat * gain.data + bias.data
 
     def bwd(g):
@@ -436,6 +421,138 @@ def layer_norm(x, gain, bias, eps=1e-5):
         return gx, gg, gb
 
     return _make(out, (x, gain, bias), bwd)
+
+
+def _token_moments(xt, pos, eps):
+    """Mean and sqrt(var + eps) in float64 of each token [x, pos], from the channel rows
+    xt [..., C, n] and the shared columns pos [n, c - C]. One pass of float64 sums: float32
+    squares are exact in float64, and E[t²] - μ² cancels about c·1e-16·E[t²], far below
+    var + eps unless a token's values are all nearly equal and ~1e4 or larger."""
+    s1, s2, r = np.zeros((3,) + xt.shape[:-2] + xt.shape[-1:])
+    for row in np.moveaxis(xt, -2, 0):      # contiguous [..., n] rows
+        np.copyto(r, row)
+        s1 += r
+        r *= r
+        s2 += r
+    c = xt.shape[-2] + pos.shape[1]
+    mu = (s1 + pos.sum(axis=1, dtype=np.float64)) / c
+    var = (s2 + np.einsum("nk,nk->n", pos, pos, dtype=np.float64)) / c - mu * mu
+    return mu, np.sqrt(np.maximum(var, 0.0) + eps)
+
+
+def cross_attention(q, x, pos=None, norm=None, rate=0.0, training=False, rng=None, eps=1e-5):
+    """dropout(softmax(q t̃ᵀ)) t̃ for queries q [..., h, m, c] over the tokens t = [x, pos],
+    with t̃ = layer_norm(t, *norm), or t̃ = t when norm is None; returns [..., h, m, c].
+
+    x is [..., n, C]; pos [n, c - C] holds the columns every window shares, or is None
+    when x is the whole token. No [..., n, c] array is built: with A = q⊙γ and
+    p′ = dropout(probs) ⊘ σᵀ (the draw dropout() makes on the [..., h, m, n] probs),
+
+        scores = (A_x xᵀ + A_P posᵀ - rowsum(A) μᵀ) ⊘ σᵀ      (softmax drops q·β)
+        out    = ([p′ x, p′ pos] - (p′ μ) 𝟙ᵀ)⊙γ + (p′ σ) ⊗ β
+
+    μ and σ ride as two extra rows of a [..., C + 2, n] copy of x, so the rank-1 terms
+    and rowsum(dropout(probs)) = p′σ come out of the GEMMs with x. Executed MACs:
+    h·m·n·(2(C + 2) + c - C) per window and h·m·n·(c - C) per call, as many again in
+    the backward (more when x needs a gradient); at the paper default (h 1, m 16, n 1280,
+    C 14, c 39) 1,167,360 per window and 512,000 per call, against 1,597,440 per window
+    over [B, n, c] tokens.
+    """
+    q, x = _as_tensor(q), _as_tensor(x)
+    dt = x.dtype
+    n, C = x.shape[-2:]
+    P = np.zeros((n, 0), dt) if pos is None else np.asarray(pos, dt)
+    c = C + P.shape[1]
+    if q.ndim < 3 or q.shape[-1] != c or P.shape[0] != n or q.dtype != dt:
+        raise ShapeError(f"cross_attention: queries {q.shape} {q.dtype} do not match tokens "
+                         f"{x.shape} {dt} with {P.shape[1]} position columns")
+    inputs, a = (q, x), q.data
+    if norm is not None:
+        gain, bias = map(_as_tensor, norm)
+        if gain.shape != (c,) or bias.shape != (c,):
+            raise ShapeError(f"cross_attention: gain/bias must have shape ({c},), "
+                             f"got {gain.shape} and {bias.shape}")
+        inputs, a = inputs + (gain, bias), a * gain.data
+    xt = np.empty(x.shape[:-2] + (C + 2, n), dt)    # channels, then mu and sigma
+    xt[..., :C, :] = np.swapaxes(x.data, -1, -2)
+    xh = xt[..., None, :, :]                         # [..., 1, C + 2, n], one per head
+    a_ext = np.zeros(a.shape[:-1] + (C + 2,), dt)
+    a_ext[..., :C] = a[..., :C]
+    with np.errstate(invalid="ignore", over="ignore"):   # a non-finite input ends in s
+        if norm is None:
+            xt[..., C, :], xt[..., C + 1, :], inv = 0.0, 1.0, None
+        else:
+            xt[..., C:, :] = np.stack(_token_moments(xt[..., :C, :], P, eps), axis=-2)
+            inv = 1.0 / xt[..., C + 1, None, None, :]
+            a_ext[..., C] = -a.sum(axis=-1)
+        s = np.matmul(a_ext, xh)                     # [..., h, m, n]
+        s += np.matmul(a[..., C:], P.T)
+        if inv is not None:
+            s *= inv
+    if not np.isfinite(s).all():
+        raise NumericError("cross_attention: scores contain NaN or Inf")
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    probs = s
+    mask = _dropout_mask(probs.shape, dt, rate, training, rng)
+    w = inv                                          # p′ = probs ⊙ keep ⊙ w
+    if mask is not None:
+        keep, scale = mask
+        w = scale if w is None else w * scale
+        p2 = np.multiply(probs, keep)
+        p2 *= w
+    else:
+        p2 = probs if w is None else probs * w
+    ce = np.matmul(p2, np.swapaxes(xh, -1, -2))      # [..., h, m, C + 2]
+    ctx = np.empty(ce.shape[:-1] + (c,), dt)
+    ctx[..., :C] = ce[..., :C]
+    ctx[..., C:] = (p2.reshape(-1, n) @ P).reshape(ce.shape[:-1] + (c - C,))
+    ctx -= ce[..., C:C + 1]
+    out = ctx if norm is None else ctx * gain.data + ce[..., C + 1:] * bias.data
+
+    def bwd(g):
+        da = gx = None
+        dctx = g if norm is None else g * gain.data
+        d_ext = np.empty(g.shape[:-1] + (C + 2,), dt)
+        d_ext[..., :C] = dctx[..., :C]
+        d_ext[..., C] = -dctx.sum(axis=-1)
+        d_ext[..., C + 1] = 0.0 if norm is None else g @ bias.data
+        ds = np.matmul(d_ext, xh)                    # d loss / d p′
+        ds += (np.ascontiguousarray(dctx[..., C:]).reshape(ds.size // n, c - C)
+               @ P.T).reshape(ds.shape)
+        ds *= p2                                     # softmax through p′ = probs ⊙ keep ⊙ w
+        ds -= probs * ds.sum(axis=-1, keepdims=True)
+        if inv is not None:
+            ds *= inv                                # d loss / d(A ĥᵀ σ)
+        if q.requires_grad or (norm is not None and gain.requires_grad):
+            e = _reduce_to(np.matmul(ds, np.swapaxes(xh, -1, -2)), a.shape[:-1] + (C + 2,))
+            da = np.empty(a.shape, dt)
+            da[..., :C] = e[..., :C]
+            da[..., C:] = np.matmul(_reduce_to(ds, a.shape[:-1] + (n,)), P)
+            da -= e[..., C:C + 1]
+        if x.requires_grad:
+            # ĥ's gradient is σ ⊙ gt, and LayerNorm's backward cancels the σ
+            gt = _reduce_to((np.matmul(np.swapaxes(ds, -1, -2), a) +
+                             np.matmul(np.swapaxes(p2, -1, -2), dctx)).sum(axis=-3),
+                            x.shape[:-1] + (c,))
+            if norm is not None:
+                t = np.concatenate([x.data, np.broadcast_to(P, x.shape[:-1] + P.shape[1:])], -1)
+                xhat = (t - xt[..., C, :, None]) / xt[..., C + 1, :, None]
+                gt = _standardize_grad(gt, xhat, 1.0)
+            gx = gt[..., :C]
+        if norm is None:
+            return da, gx
+        gq = gg = gb = None
+        if q.requires_grad:
+            gq = da * gain.data
+        if gain.requires_grad:
+            gg = (da * q.data).reshape(-1, c).sum(axis=0) + (g * ctx).reshape(-1, c).sum(axis=0)
+        if bias.requires_grad:
+            gb = ce[..., C + 1].reshape(-1) @ g.reshape(-1, c)
+        return gq, gx, gg, gb
+
+    return _make(out, inputs, bwd)
 
 
 def mean_axis(x, axis):
@@ -453,20 +570,27 @@ def mean_axis(x, axis):
     return _make(out, (x,), bwd)
 
 
-def dropout(x, rate, training, rng=None):
-    """Inverted dropout. Identity when not training or rate is 0."""
-    x = _as_tensor(x)
+def _dropout_mask(shape, dtype, rate, training, rng):
+    """(keep, scale) of an inverted dropout draw over shape, or None for the identity."""
     rate = float(rate)
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout: rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return x
+        return None
     if rng is None:
         raise ConfigError("dropout: an rng is required when training with rate > 0")
     # float32 uniforms: half the generator work of float64, and ample for a mask;
     # a bool mask takes 1 byte an element, and masking before scaling cannot overflow
-    keep = rng.random(x.shape, dtype=np.float32) >= rate
-    scale = np.ones((), x.dtype) / (1.0 - rate)
+    return rng.random(shape, dtype=np.float32) >= rate, np.ones((), dtype) / (1.0 - rate)
+
+
+def dropout(x, rate, training, rng=None):
+    """Inverted dropout. Identity when not training or rate is 0."""
+    x = _as_tensor(x)
+    mask = _dropout_mask(x.shape, x.dtype, rate, training, rng)
+    if mask is None:
+        return x
+    keep, scale = mask
     out = x.data * keep * scale
 
     def bwd(g):

@@ -155,9 +155,12 @@ def test_train_rerun_over_foreign_state_exits_checkpoint(dataset, tmp_path, caps
     assert _tree(out) == before
 
 
-def test_unexpected_error_exits_internal_without_traceback(dataset, tmp_path, capsys):
+def test_unexpected_error_exits_internal_without_traceback(dataset, tmp_path, capsys,
+                                                          monkeypatch):
     """An exception no category names (here numpy refusing a 10^24-element
-    latent array) exits 8 with its type and message, not a traceback."""
+    latent array, once the size check that would refuse the config first is
+    switched off) exits 8 with its type and message, not a traceback."""
+    monkeypatch.setattr(onebt.cli, "check_fits_memory", lambda cfg: None)
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"model": {"num_latents": 10 ** 12, "latent_dim": 10 ** 12}}))
     rc = main(["train", "--config", str(path), "--data", dataset, "--out", str(tmp_path / "x")])
@@ -168,9 +171,11 @@ def test_unexpected_error_exits_internal_without_traceback(dataset, tmp_path, ca
 
 
 @pytest.mark.parametrize("command", ["train", "loso"])
-def test_model_build_failure_leaves_no_out_dir(dataset, tmp_path, capsys, command):
-    """A config that fails only when the model is built leaves no new --out
-    behind, and an --out that existed before the run stays."""
+def test_model_build_failure_leaves_no_out_dir(dataset, tmp_path, capsys, command, monkeypatch):
+    """A config that fails only when the model is built (the size check that
+    would refuse it first is switched off) leaves no new --out behind, and an
+    --out that existed before the run stays."""
+    monkeypatch.setattr(onebt.cli, "check_fits_memory", lambda cfg: None)
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"model": {"num_latents": 10 ** 12, "latent_dim": 10 ** 12}}))
     for out, existed in ((tmp_path / "new", False), (tmp_path / "old", True)):
@@ -180,6 +185,25 @@ def test_model_build_failure_leaves_no_out_dir(dataset, tmp_path, capsys, comman
         assert rc == EXIT_CODES["internal"]
         assert "error[internal]" in capsys.readouterr().err
         assert out.exists() == existed and (not existed or not any(out.iterdir()))
+
+
+@pytest.mark.parametrize("command", ["train", "loso"])
+@pytest.mark.parametrize("model", [{"ff_mult": 10 ** 8}, {"num_freq_bands": 10 ** 8},
+                                   {"cross_heads": 10 ** 5, "cross_head_dim": 10 ** 5}],
+                         ids=["ff_mult", "num_freq_bands", "cross_heads"])
+def test_model_too_large_for_memory_exits_config(dataset, tmp_path, capsys, command, model):
+    """A model whose parameters alone, at 16 bytes each, exceed physical memory
+    is refused from the closed-form count, before a weight is drawn: exit 3,
+    one line on stderr and no --out."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"model": model}))
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(path), "--data", dataset, "--out", str(out)])
+    assert rc == EXIT_CODES["config"] == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: the model has ") and "physical memory" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "loso", "sweep"])

@@ -2,6 +2,7 @@
 
 import platform
 import resource
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from onebt.model import (ModelConfig, Attention, LatentCrossAttention,
                          frequency_bands, position_grid, fourier_encode,
-                         tokenize, init_parameters)
+                         tokenize, init_parameters, _position_features)
 from onebt.tensor import (Tensor, ShapeError, ConfigError, backward, mean_axis, reshape, add,
                           cross_entropy_label_smoothed)
 from conftest import tiny_config, rel_err, fd_grad
@@ -256,6 +257,108 @@ def test_training_graph_holds_no_token_sized_gradient(rng):
     token_shapes = {(3, cfg.seq_len, cfg.token_width), (3, 1, cfg.seq_len, cfg.token_width)}
     tracked = [t.shape for t in _graph_tensors(loss) if t.requires_grad]
     assert tracked and not token_shapes & set(tracked)
+
+
+# ---------------------------------------------------------------------------
+# token-free cross block: the window and its shared position columns
+
+def _pos(cfg):
+    return _position_features(cfg.seq_len, cfg.num_freq_bands, cfg.max_freq)
+
+
+def _cross_grads(model):
+    return {p.name: p.grad for p in model.parameters()
+            if p.name == "latents" or p.name.startswith("cross.")}
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("batched", [False, True])
+def test_window_cross_block_matches_unfolded_tokens(rng, heads, training, batched):
+    """A window read with the shared position columns gives the output and
+    every gradient of the textbook order over its tokens, with random
+    norm_kv gain and bias and identically seeded dropout."""
+    model, block = _cross_block(rng, heads, dropout=0.3)
+    cfg = model.cfg
+    x = rng.standard_normal((3,) * batched + (cfg.seq_len, cfg.input_channels))
+    calls = (lambda r: block(model.latents, x, cfg, training, r, _pos(cfg)),
+             lambda r: _unfolded_cross_block(block, model.latents, tokenize(x, cfg), cfg,
+                                             training, r))
+    results = []
+    for call in calls:
+        model.zero_grad()
+        out = call(np.random.default_rng(11))
+        backward(mean_axis(reshape(out, (out.data.size, 1)), 0))
+        results.append((out.data, _cross_grads(model)))
+    (out_a, gp_a), (out_b, gp_b) = results
+    assert set(gp_a) == set(gp_b) and all(g is not None for g in gp_a.values())
+    for a, b in [(out_a, out_b)] + [(gp_a[k], gp_b[k]) for k in gp_a]:
+        assert a.shape == b.shape
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_grad_cross_block_window(rng, heads):
+    """FD oracle for the token-free window path, wrt the latents, the q, k, v
+    and out projection weights, and norm_kv's gain and bias."""
+    model, block = _cross_block(rng, heads)
+    cfg = model.cfg
+    x = rng.standard_normal((3, cfg.seq_len, cfg.input_channels))
+    slots = [(block.attn.q, "weight"), (block.attn.k, "weight"), (block.attn.v, "weight"),
+             (block.attn.out, "weight"), (block.norm_kv, "gain"), (block.norm_kv, "bias")]
+
+    def op(latents, *params):
+        for (owner, attr), p in zip(slots, params):
+            setattr(owner, attr, p)
+        return block(latents, x, cfg, False, None, _pos(cfg))
+
+    args = (model.latents.data.copy(),) + tuple(getattr(o, a).data.copy() for o, a in slots)
+    for wrt in range(len(args)):
+        g, fd = grad_of(op, args, wrt)
+        assert rel_err(g, fd) < TOL, f"wrt={wrt}"
+
+
+def test_training_step_from_window_peaks_below_one_token_array(rng):
+    """One training forward and backward from a window array holds less memory
+    at its peak than one [B, n, token_width] array, on a config where that
+    array would be the largest. tracemalloc sees numpy's buffers."""
+    cfg = ModelConfig(num_latents=2, latent_dim=8, cross_head_dim=4, self_head_dim=4,
+                      num_freq_bands=16, input_channels=2, seq_len=4096, ff_mult=1)
+    model = init_parameters(cfg, seed=0)
+    x = rng.standard_normal((8, cfg.seq_len, cfg.input_channels)).astype(np.float32)
+    labels = np.arange(8) % 2
+    token_bytes = x.shape[0] * cfg.seq_len * cfg.token_width * x.itemsize
+
+    def step():
+        model.zero_grad()
+        logits = model.forward(x, training=True, rng=np.random.default_rng(0))
+        backward(cross_entropy_label_smoothed(logits, labels, 0.1))
+
+    step()                          # position features cached, as in any later step
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < token_bytes, f"peak {peak} bytes, one token array {token_bytes}"
+
+
+def test_training_forward_draws_one_mask_per_dropout_site(rng):
+    """The cross block draws its attention mask on the [B, h, m, n] probs, as
+    the textbook order does, so the generator ends where drawing each dropout
+    site's float32 uniforms in forward order leaves it."""
+    cfg = tiny_config(attn_dropout=0.1, ff_dropout=0.1, self_per_cross=2)
+    model = init_parameters(cfg, seed=0)
+    b, m, hid = 3, cfg.num_latents, cfg.ff_mult * cfg.latent_dim
+    x = rng.standard_normal((b, cfg.seq_len, cfg.input_channels)).astype(np.float32)
+    used, ref = (np.random.Generator(np.random.Philox(5)) for _ in range(2))
+    model.forward(x, training=True, rng=used)
+    shapes = ([(b, cfg.cross_heads, m, cfg.seq_len), (b, m, hid)]
+              + [(b, cfg.self_heads, m, m), (b, m, hid)] * cfg.self_per_cross)
+    for shape in shapes:
+        ref.random(shape, dtype=np.float32)
+    np.testing.assert_equal(used.bit_generator.state, ref.bit_generator.state)
 
 
 # ---------------------------------------------------------------------------

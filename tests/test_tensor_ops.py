@@ -12,7 +12,7 @@ from scipy.special import softmax as sp_softmax
 import onebt.tensor
 from onebt.tensor import (Tensor, ShapeError, ConfigError, NumericError,
                           matmul, linear, add, mul, scale, gelu, softmax_rows,
-                          standardize, layer_norm, mean_axis, dropout,
+                          layer_norm, cross_attention, mean_axis, dropout,
                           reshape, swap_axes, cross_entropy_label_smoothed,
                           backward)
 from conftest import fd_grad, rel_err
@@ -157,14 +157,6 @@ def test_layer_norm_affine(rng):
     plain = layer_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4))).data
     out = layer_norm(Tensor(x), Tensor(g), Tensor(b)).data
     np.testing.assert_allclose(out, plain * g + b, atol=1e-6)
-
-
-def test_standardize_is_layer_norm_without_affine(rng):
-    x = rng.standard_normal((2, 3, 5))
-    out = standardize(x)
-    plain = layer_norm(Tensor(x), Tensor(np.ones(5)), Tensor(np.zeros(5)))
-    np.testing.assert_array_equal(out.data, plain.data)
-    assert out.node is None and not out.requires_grad     # a plain input gives a leaf
 
 
 def test_layer_norm_shape_error():
@@ -444,16 +436,76 @@ def test_grad_layer_norm(rng):
         assert rel_err(g, fd) < TOL, f"wrt={wrt}"
 
 
-def test_grad_standardize(rng):
-    x = rng.standard_normal((2, 4, 6))
-    # every standardized row sums to zero, so weigh the outputs to see a gradient
-    w = rng.standard_normal((2, 4, 6))
+# cross_attention layouts: (q's axes before c, x's axes before [n, C]), for
+# queries shared by a batch, queries per window, and one window
+_CROSS_LAYOUTS = {"shared_q": ((2, 3), (2,)), "batched_q": ((2, 2, 3), (2,)),
+                  "one_window": ((2, 3), ())}
 
-    def op(t):
-        return mul(standardize(t), Tensor(w))
 
-    g, fd = grad_of(op, (x,), 0)
-    assert rel_err(g, fd) < TOL
+def _cross_inputs(rng, layout, pos_cols, n=7, C=4):
+    q_lead, x_lead = _CROSS_LAYOUTS[layout]
+    c = C + pos_cols
+    return (rng.standard_normal(q_lead + (c,)), rng.standard_normal(x_lead + (n, C)),
+            rng.standard_normal((n, pos_cols)) if pos_cols else None,
+            1 + 0.3 * rng.standard_normal(c), rng.standard_normal(c))
+
+
+def _textbook_cross(q, x, pos, norm, rate, rng):
+    """softmax(q t̃ᵀ) t̃ over the tokens t = [x, pos], t̃ = layer_norm(t), op by op."""
+    t = x if pos is None else np.concatenate(
+        [x, np.broadcast_to(pos, x.shape[:-1] + pos.shape[-1:])], axis=-1)
+    t = Tensor(t[..., None, :, :])                                  # one copy per head
+    if norm is not None:
+        t = layer_norm(t, *norm)
+    probs = dropout(softmax_rows(matmul(q, swap_axes(t, -1, -2))), rate, rate > 0, rng)
+    return matmul(probs, t)
+
+
+@pytest.mark.parametrize("layout", sorted(_CROSS_LAYOUTS))
+@pytest.mark.parametrize("pos_cols", [0, 3])
+@pytest.mark.parametrize("normed", [False, True])
+def test_cross_attention_matches_textbook_order(rng, layout, pos_cols, normed):
+    """Output and dropout draw equal the op-by-op LayerNorm, softmax, dropout
+    and context products on the tokens [x, pos]."""
+    q, x, pos, gain, bias = _cross_inputs(rng, layout, pos_cols)
+    norm = (gain, bias) if normed else None
+    got = cross_attention(q, x, pos, norm, 0.3, True, np.random.default_rng(4)).data
+    want = _textbook_cross(q, x, pos, norm, 0.3, np.random.default_rng(4)).data
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("layout", sorted(_CROSS_LAYOUTS))
+@pytest.mark.parametrize("pos_cols", [0, 3])
+@pytest.mark.parametrize("normed", [False, True])
+def test_grad_cross_attention(rng, layout, pos_cols, normed):
+    """FD oracle for the fused op wrt the queries, the windows (the LayerNorm
+    backward included) and the norm's gain and bias."""
+    q, x, pos, gain, bias = _cross_inputs(rng, layout, pos_cols)
+    w = Tensor(rng.standard_normal(cross_attention(q, x, pos).shape))   # weigh the outputs
+
+    def op(q, x, *norm):
+        return mul(cross_attention(q, x, pos, norm or None), w)
+
+    args = (q, x) + ((gain, bias) if normed else ())
+    for wrt in range(len(args)):
+        g, fd = grad_of(op, args, wrt)
+        assert rel_err(g, fd) < TOL, f"wrt={wrt}"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("normed", [False, True])
+def test_cross_attention_nonfinite_score_raises(rng, bad, normed):
+    """As softmax_rows does, and without a numpy warning on the way."""
+    q, x, pos, gain, bias = _cross_inputs(rng, "shared_q", 3)
+    norm = (gain, bias) if normed else None
+    x_bad = x.copy()
+    x_bad[1, 2, 0] = bad
+    with pytest.raises(NumericError, match="cross_attention: scores"):
+        cross_attention(q, x_bad, pos, norm)
+    q[0, 1, 2] = bad
+    with pytest.raises(NumericError, match="cross_attention: scores"):
+        cross_attention(q, x, pos, norm)
 
 
 def test_grad_mean_axis(rng):
