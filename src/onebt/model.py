@@ -20,7 +20,7 @@ import numpy as np
 from .tensor import (
     Tensor, Parameter, ShapeError, ConfigError, check_field_types, config_from_dict,
     matmul, linear, add, mul, scale, gelu, softmax_rows, layer_norm, cross_attention,
-    mean_axis, dropout, reshape, swap_axes,
+    mean_axis, dropout, reshape, swap_axes, _replayed,
 )
 
 __all__ = [
@@ -370,7 +370,8 @@ class OneBlockTransformer:
 
         A window array never becomes tokens: the cross block reads it with the
         shared position features. A Tensor is taken as tokens [..., L, token_width],
-        as tokenize makes them.
+        as tokenize makes them. An eval forward keeps no graph; a backward through
+        its logits runs it again with one (tensor._replayed).
         """
         cfg, lat = self.cfg, self.latents
         if isinstance(x, Tensor):
@@ -383,11 +384,14 @@ class OneBlockTransformer:
         else:
             x = _check_window(x, cfg, "forward").astype(lat.dtype, copy=False)
             pos = _position_features(cfg.seq_len, cfg.num_freq_bands, cfg.max_freq, lat.dtype)
-        lat = self.cross(lat, x, cfg, training, rng, pos)
-        for block in self.blocks:
-            lat = block(lat, cfg, training, rng)
-        pooled = mean_axis(self.final_norm(lat), -2)
-        return self.head(pooled)
+
+        def run():
+            h = self.cross(lat, x, cfg, training, rng, pos)
+            for block in self.blocks:
+                h = block(h, cfg, training, rng)
+            return self.head(mean_axis(self.final_norm(h), -2))
+
+        return run() if training else _replayed(run)
 
 
 def init_parameters(cfg, seed=0, dtype=np.float32):

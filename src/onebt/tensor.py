@@ -14,9 +14,12 @@ general broadcasting batched product.
 Float32 is the working precision; pass float64 arrays in (e.g. for finite
 difference checks) and every op stays in 64-bit.
 
-On glibc, importing this module makes malloc keep freed memory resident. A
-forward frees its whole graph at once, and the next would otherwise fault the
-same pages in again: ~76k minor faults per table1 blocks=8 batch of 64.
+The model's eval forward records no graph (_replayed); a backward through its
+result runs it again with one.
+
+On glibc, importing this module makes malloc keep freed memory resident. Else
+the pages a step's graph or a graph-free forward's ops free would fault in again:
+~190k minor faults per table1 blocks=8 step at batch 32, ~95k per eval batch of 64.
 """
 
 import ctypes
@@ -53,11 +56,11 @@ _GELU_BLOCK = 1 << 16
 
 def _keep_freed_heap():
     libc = ctypes.CDLL(None) if platform.libc_ver()[0] == "glibc" else None
-    if hasattr(libc, "mallopt"):   # either setting alone still faults 83k-112k times a batch
+    if hasattr(libc, "mallopt"):   # either setting alone still faults 48k-99k times a batch
         libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
         libc.mallopt.restype = ctypes.c_int
         libc.mallopt(-3, 32 << 20)     # M_MMAP_THRESHOLD, glibc's 64-bit maximum: all from the heap
-        libc.mallopt(-1, 1 << 30)      # M_TRIM_THRESHOLD, above the ~480 MiB table1 blocks=8 frees
+        libc.mallopt(-1, 1 << 30)      # M_TRIM_THRESHOLD, above the ~280 MiB table1 blocks=8 steps free
 
 
 _keep_freed_heap()
@@ -181,10 +184,13 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_graph = True        # False while _replayed runs its function: ops then attach no node
+
+
 def _make(data, inputs, backward_fn):
     """Wrap an op result, attaching a node only if something upstream needs grads."""
     out = Tensor(data)
-    if any(t.requires_grad for t in inputs):
+    if _graph and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.node = _Node(inputs, backward_fn)
     return out
@@ -663,13 +669,18 @@ def backward(loss):
     """Accumulate d(loss)/d(leaf) into the .grad of every leaf below loss."""
     if loss.data.size != 1:
         raise ShapeError(f"backward: root must be a scalar, got shape {loss.shape}")
-    if not loss.requires_grad:
+    _backward_from(loss, np.ones_like(loss.data))
+
+
+def _backward_from(root, seed):
+    """Push seed = d(loss)/d(root) down to the .grad of every leaf below root."""
+    if not root.requires_grad:
         return
 
     # iterative post-order topo sort; recursion would overflow on long graphs
     order = []
     visited = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         t, expanded = stack.pop()
         if expanded:
@@ -687,7 +698,7 @@ def backward(loss):
     # the pass-local gradients live in their own map so that repeated
     # backward calls each contribute exactly one d(loss)/d(leaf); an
     # intermediate's gradient is dropped as soon as its op has consumed it
-    local = {id(loss): np.ones_like(loss.data)}
+    local = {id(root): seed}
     for t in reversed(order):
         g = local.pop(id(t))
         if t.node is None:
@@ -700,3 +711,28 @@ def backward(loss):
                 local[id(inp)] = local[id(inp)] + gi
             else:
                 local[id(inp)] = gi
+
+
+def _replayed(fn):
+    """fn() run with no graph, as a Tensor whose node has no inputs. Its backward
+    runs fn() again with the graph and passes the gradient on through that, so
+    only a backward holds the graph; the second run must give the first's output
+    bit for bit, or a weight or an input has changed in between. The flag is the
+    process's: an op another thread runs meanwhile records no graph either."""
+    global _graph
+    graph, _graph = _graph, False
+    try:
+        saved = fn().data
+    finally:
+        _graph = graph
+
+    def bwd(g):
+        y2 = fn()
+        if (y2.dtype, y2.shape, y2.data.tobytes()) != (saved.dtype, saved.shape, saved.tobytes()):
+            raise RuntimeError("backward: the forward's weights or input changed after it ran")
+        _backward_from(y2, g)
+        return ()
+
+    out = Tensor(saved, requires_grad=True)
+    out.node = _Node((), bwd)
+    return out

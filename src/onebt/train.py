@@ -78,7 +78,6 @@ class TrainConfig:
 @dataclass
 class TrainLog:
     records: list = field(default_factory=list)   # one dict per epoch
-    step_lrs: list = field(default_factory=list)  # lr actually used at every step
     summary: dict = field(default_factory=dict)
 
 
@@ -201,14 +200,13 @@ def train(model, X, y, cfg, state_path=None):
         if os.path.exists(state_path):
             start_epoch = _restore_state(state_path, opt, rngs, log, cfg, model.cfg, data_sha256)
     step = opt.t = start_epoch * steps_per_epoch
-    log.step_lrs = [cosine_lr(s, denom, cfg.lr, cfg.min_lr) for s in range(step)]
 
     augmenting = cfg.aug_noise_sigma > 0 or cfg.aug_cutout_frac > 0
     for epoch in range(start_epoch, cfg.epochs):
         perm = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         epoch_hits = 0
-        first = len(log.step_lrs)
+        first_lr = cosine_lr(step, denom, cfg.lr, cfg.min_lr)
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo:lo + cfg.batch_size]
             xb, yb = X[idx], y[idx]
@@ -222,12 +220,11 @@ def train(model, X, y, cfg, state_path=None):
             if cfg.grad_clip is not None:
                 _clip_grads(model.parameters(), cfg.grad_clip)
             opt.step(lr)
-            log.step_lrs.append(lr)
             epoch_loss += float(loss.data) * len(idx)
             epoch_hits += int((np.argmax(logits.data, axis=-1) == yb).sum())
             step += 1
 
-        log.records.append({"epoch": epoch, "lr": log.step_lrs[first], "lr_end": log.step_lrs[-1],
+        log.records.append({"epoch": epoch, "lr": first_lr, "lr_end": lr,
                             "train_loss": epoch_loss / n, "train_acc": epoch_hits / n})
         # the last step's update meets no later gradient check
         broken = next((p.name for p in opt.params if not np.isfinite(p.data).all()), None)

@@ -586,3 +586,78 @@ def test_eval_forward_reuses_freed_heap():
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         model.forward(X, training=False)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
+
+
+# ---------------------------------------------------------------------------
+# graph-free eval forward, replayed by a backward through it
+
+def _replay_config():
+    """Paper widths at seq_len 256 with four self blocks and no dropout, so that a
+    training forward runs the ops an eval forward runs."""
+    return ModelConfig(seq_len=256, self_per_cross=4, attn_dropout=0.0, ff_dropout=0.0)
+
+
+@pytest.mark.parametrize("dtype,tokens", [(np.float32, False), (np.float64, False),
+                                          (np.float64, True)])
+def test_backward_through_eval_forward_matches_graph_path(rng, dtype, tokens):
+    """The logits, every parameter's gradient and a grad-requiring token input's
+    gradient, over two accumulating backward calls, are those of the graph path
+    bit for bit."""
+    cfg = _replay_config()
+    model = init_parameters(cfg, seed=2, dtype=dtype)
+    x = rng.standard_normal((4, cfg.seq_len, cfg.input_channels)).astype(dtype)
+    labels = np.array([0, 1, 1, 0])
+    results = []
+    for kw in ({"training": False}, {"training": True, "rng": np.random.default_rng(0)}):
+        model.zero_grad()
+        inp = Tensor(tokenize(x, cfg).data, requires_grad=True) if tokens else x
+        logits = model.forward(inp, **kw)
+        for _ in range(2):
+            backward(cross_entropy_label_smoothed(logits, labels, 0.1))
+        results.append([logits.data] + [p.grad for p in model.parameters()]
+                       + ([inp.grad] if tokens else []))
+    assert all(g is not None for g in results[0])
+    for a, b in zip(*results, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_eval_forward_keeps_no_graph(rng):
+    """After an eval forward only the logits stay allocated, and the call's peak
+    is below a quarter of what a graph-building forward keeps."""
+    cfg = _replay_config()
+    model = init_parameters(cfg, seed=2)
+    x = rng.standard_normal((16, cfg.seq_len, cfg.input_channels)).astype(np.float32)
+    model.forward(x)                # position features cached, as in any later call
+    traced = {}
+    for training in (True, False):
+        tracemalloc.start()
+        try:
+            logits = model.forward(x, training=training, rng=np.random.default_rng(0))
+            traced[training] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if not training:
+            assert logits.node.inputs == ()
+        del logits
+    kept, peak = traced[False]
+    assert kept < 2**20, f"{kept} bytes still traced after an eval forward"
+    assert peak < traced[True][0] / 4, f"peak {peak} bytes, graph {traced[True][0]} bytes"
+
+
+@pytest.mark.parametrize("changed", ["weight", "input"])
+def test_backward_after_forward_inputs_change_raises(rng, changed):
+    """A backward through an eval forward whose weights or input have since
+    changed in place raises, rather than mix old and new values; restored, it runs."""
+    model = _f64_model()
+    x = rng.standard_normal((2, 16, 3))
+    y = np.array([0, 1])
+    logits = model.forward(x)
+    flat = (model.param("cross.ff.gate.weight").data if changed == "weight" else x).reshape(-1)
+    orig = flat[0]
+    flat[0] = orig + 1e-5
+    with pytest.raises(RuntimeError, match="changed"):
+        backward(cross_entropy_label_smoothed(logits, y, 0.1))
+    flat[0] = orig
+    model.zero_grad()
+    backward(cross_entropy_label_smoothed(logits, y, 0.1))
+    assert all(p.grad is not None for p in model.parameters())

@@ -183,19 +183,26 @@ def test_train_log_shape_and_lr_endpoints():
     assert log.records[0]["lr"] == pytest.approx(cfg.lr)          # cos(0)
     assert log.records[-1]["lr_end"] == pytest.approx(cfg.min_lr)  # cos(pi)
     steps = cfg.epochs * math.ceil(len(X) / cfg.batch_size)
-    assert len(log.step_lrs) == steps
     assert log.summary["steps"] == steps
 
 
-def test_schedule_sum_closed_form():
-    # sum over the endpoint-inclusive cosine grid telescopes to T*(base+min)/2
+def test_schedule_sum_closed_form(monkeypatch):
+    # the lr of every step, as AdamW.step receives it, is the endpoint-inclusive
+    # cosine grid, whose sum telescopes to T*(base+min)/2; each epoch record
+    # holds the lr of its first and last step
+    used = []
+    step = AdamW.step
+    monkeypatch.setattr(AdamW, "step", lambda self, lr: (used.append(lr), step(self, lr)))
     X, y = _toy_data()
     cfg = quick_cfg(epochs=7, min_lr=2e-5)
     model = init_parameters(tiny_config(), seed=0)
     log = train(model, X, y, cfg)
-    T = len(log.step_lrs)
-    assert math.fsum(log.step_lrs) == pytest.approx(T * (cfg.lr + cfg.min_lr) / 2,
-                                                    abs=1e-9)
+    T = log.summary["steps"]
+    assert used == [cosine_lr(s, T - 1, cfg.lr, cfg.min_lr) for s in range(T)]
+    assert math.fsum(used) == pytest.approx(T * (cfg.lr + cfg.min_lr) / 2, abs=1e-9)
+    per_epoch = T // cfg.epochs
+    assert [(r["lr"], r["lr_end"]) for r in log.records] == \
+        [(used[e * per_epoch], used[(e + 1) * per_epoch - 1]) for e in range(cfg.epochs)]
 
 
 def test_loss_decreases_first_steps_across_seeds():
