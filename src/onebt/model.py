@@ -2,11 +2,11 @@
 
 A window of L timesteps x C channels is one token per timestep: the raw
 channel vector concatenated with Fourier features of the timestep's
-position on a [-1, 1] grid (tokenize builds them; the cross block reads the
-window and the shared features without doing so). A small set of learned
-latent vectors cross-attends to the token sequence once, runs a configurable
-number of latent self-attention blocks, and the mean over latents feeds a
-linear classifier.
+position on a [-1, 1] grid. tokenize builds them; forward takes only window
+arrays, and the cross block reads each window with the shared features
+without doing so. A small set of learned latent vectors cross-attends to the
+token sequence once, runs a configurable number of latent self-attention
+blocks, and the mean over latents feeds a linear classifier.
 
 All blocks are pre-norm with residual connections; feed-forwards are gated
 (two input projections, one passed through gelu, multiplied elementwise).
@@ -115,7 +115,7 @@ def tokenize(x, cfg):
     Every timestep becomes one token: its channel vector with the position
     features appended. Returns a leaf Tensor in the input's float precision.
     """
-    arr = _check_window(x.data if isinstance(x, Tensor) else x, cfg, "tokenize")
+    arr = _check_window(x, cfg, "tokenize")
     L, C = arr.shape[-2:]
     dtype = arr.dtype if arr.dtype == np.float64 else np.float32
     pos = _position_features(L, cfg.num_freq_bands, cfg.max_freq)
@@ -127,6 +127,8 @@ def tokenize(x, cfg):
 
 def _check_window(x, cfg, op):
     """x as an array, once it is a window [L, C] or a batch [B, L, C] of cfg's geometry."""
+    if isinstance(x, Tensor):
+        raise ShapeError(f"{op}: takes a window array [L, C] or [B, L, C], not a Tensor")
     arr = np.asarray(x)
     if arr.ndim not in (2, 3):
         raise ShapeError(f"{op}: expected [L, C] or [B, L, C], got {arr.shape}")
@@ -252,22 +254,26 @@ class LatentCrossAttention(Attention):
     W_v applies to its [..., h, m, c] context. That wins when n ≫ m and
     c < hd (latents reading a long, narrow token sequence). Parameters, their
     names and their init are those of Attention; only the evaluation order
-    differs, so float results agree with Attention.__call__ up to rounding.
+    differs.
 
-    kv_in is either whole tokens [..., n, c], or windows [..., n, C] with
-    pos [n, c - C], the position columns every window shares. kv_norm, a
-    LayerNorm over c, attends over kv_norm(t) instead of t without forming
-    it (cross_attention's norm).
+    kv_norm, the LayerNorm over c that the module is built with, is applied
+    inside tensor.cross_attention without forming kv_norm(t), so float results
+    agree with Attention.__call__ over kv_norm(t) up to rounding. kv_in is
+    either whole tokens [..., n, c], or windows [..., n, C] with pos [n, c - C],
+    the position columns every window shares.
     """
 
-    def __call__(self, q_in, kv_in, attn_dropout=0.0, training=False, rng=None,
-                 kv_norm=None, pos=None):
+    def __init__(self, reg, name, q_dim, kv_norm, heads, head_dim, out_dim):
+        super().__init__(reg, name, q_dim, kv_norm.gain.shape[0], heads, head_dim, out_dim)
+        self.kv_norm = kv_norm
+
+    def __call__(self, q_in, kv_in, attn_dropout=0.0, training=False, rng=None, pos=None):
         wk, wv = (swap_axes(reshape(w, (w.shape[0], self.heads, self.head_dim)), 0, 1)
                   for w in (self.k.weight, self.v.weight))   # [h, c, hd]
         q = self._split(self.q(q_in))                               # [..., h, m, hd]
         qk = scale(matmul(q, swap_axes(wk, -1, -2)), 1.0 / np.sqrt(self.head_dim))
-        norm = None if kv_norm is None else (kv_norm.gain, kv_norm.bias)
-        ctx = cross_attention(qk, kv_in, pos, norm, attn_dropout, training, rng)
+        ctx = cross_attention(qk, kv_in, pos, self.kv_norm.gain, self.kv_norm.bias,
+                              attn_dropout, training, rng)
         return self._merge(matmul(ctx, wv))                         # [..., h, m, c] @ W_v
 
 
@@ -289,22 +295,21 @@ class GatedFeedForward:
 class CrossBlock:
     """Latents attend to tokens, then a gated feed-forward; both residual, pre-norm.
 
-    norm_kv runs inside the attention op (LatentCrossAttention's kv_norm), so a
-    window with its pos columns is never made into a [B, n, c] token array.
+    norm_kv is the attention's own kv_norm and runs inside its op, so a window
+    with its pos columns is never made into a [B, n, c] token array.
     """
 
     def __init__(self, reg, name, cfg):
         d = cfg.latent_dim
         self.norm_q = LayerNorm(reg, f"{name}.norm_q", d)
         self.norm_kv = LayerNorm(reg, f"{name}.norm_kv", cfg.token_width)
-        self.attn = LatentCrossAttention(reg, f"{name}.attn", d, cfg.token_width,
+        self.attn = LatentCrossAttention(reg, f"{name}.attn", d, self.norm_kv,
                                          cfg.cross_heads, cfg.cross_head_dim, d)
         self.norm_ff = LayerNorm(reg, f"{name}.norm_ff", d)
         self.ff = GatedFeedForward(reg, f"{name}.ff", d, cfg.ff_mult)
 
     def __call__(self, latents, x, cfg, training, rng, pos=None):
-        att = self.attn(self.norm_q(latents), x, cfg.attn_dropout, training, rng,
-                        self.norm_kv, pos)
+        att = self.attn(self.norm_q(latents), x, cfg.attn_dropout, training, rng, pos)
         latents = add(att, latents)
         h = self.ff(self.norm_ff(latents), cfg.ff_dropout, training, rng)
         return add(h, latents)
@@ -368,22 +373,13 @@ class OneBlockTransformer:
     def forward(self, x, training=False, rng=None):
         """Window(s) to logits. Accepts [L, C] -> [num_classes] or [B, L, C] -> [B, num_classes].
 
-        A window array never becomes tokens: the cross block reads it with the
-        shared position features. A Tensor is taken as tokens [..., L, token_width],
-        as tokenize makes them. An eval forward keeps no graph; a backward through
-        its logits runs it again with one (tensor._replayed).
+        x is a window array, never a Tensor, and never becomes tokens: the cross
+        block reads it with the shared position features. An eval forward keeps no
+        graph; a backward through its logits runs it again with one (tensor._replayed).
         """
         cfg, lat = self.cfg, self.latents
-        if isinstance(x, Tensor):
-            if x.shape[-1] != cfg.token_width:
-                raise ShapeError(
-                    f"forward: token width {x.shape[-1]} != configured {cfg.token_width}")
-            pos = None
-            if x.dtype != lat.dtype:
-                x = Tensor(x.data.astype(lat.dtype))
-        else:
-            x = _check_window(x, cfg, "forward").astype(lat.dtype, copy=False)
-            pos = _position_features(cfg.seq_len, cfg.num_freq_bands, cfg.max_freq, lat.dtype)
+        x = _check_window(x, cfg, "forward").astype(lat.dtype, copy=False)
+        pos = _position_features(cfg.seq_len, cfg.num_freq_bands, cfg.max_freq, lat.dtype)
 
         def run():
             h = self.cross(lat, x, cfg, training, rng, pos)

@@ -446,9 +446,9 @@ def _token_moments(xt, pos, eps):
     return mu, np.sqrt(np.maximum(var, 0.0) + eps)
 
 
-def cross_attention(q, x, pos=None, norm=None, rate=0.0, training=False, rng=None, eps=1e-5):
+def cross_attention(q, x, pos, gain, bias, rate=0.0, training=False, rng=None, eps=1e-5):
     """dropout(softmax(q t̃ᵀ)) t̃ for queries q [..., h, m, c] over the tokens t = [x, pos],
-    with t̃ = layer_norm(t, *norm), or t̃ = t when norm is None; returns [..., h, m, c].
+    with t̃ = layer_norm(t, gain, bias); returns [..., h, m, c].
 
     x is [..., n, C]; pos [n, c - C] holds the columns every window shares, or is None
     when x is the whole token. No [..., n, c] array is built: with A = q⊙γ and
@@ -464,7 +464,7 @@ def cross_attention(q, x, pos=None, norm=None, rate=0.0, training=False, rng=Non
     C 14, c 39) 1,167,360 per window and 512,000 per call, against 1,597,440 per window
     over [B, n, c] tokens.
     """
-    q, x = _as_tensor(q), _as_tensor(x)
+    q, x, gain, bias = map(_as_tensor, (q, x, gain, bias))
     dt = x.dtype
     n, C = x.shape[-2:]
     P = np.zeros((n, 0), dt) if pos is None else np.asarray(pos, dt)
@@ -472,29 +472,22 @@ def cross_attention(q, x, pos=None, norm=None, rate=0.0, training=False, rng=Non
     if q.ndim < 3 or q.shape[-1] != c or P.shape[0] != n or q.dtype != dt:
         raise ShapeError(f"cross_attention: queries {q.shape} {q.dtype} do not match tokens "
                          f"{x.shape} {dt} with {P.shape[1]} position columns")
-    inputs, a = (q, x), q.data
-    if norm is not None:
-        gain, bias = map(_as_tensor, norm)
-        if gain.shape != (c,) or bias.shape != (c,):
-            raise ShapeError(f"cross_attention: gain/bias must have shape ({c},), "
-                             f"got {gain.shape} and {bias.shape}")
-        inputs, a = inputs + (gain, bias), a * gain.data
+    if gain.shape != (c,) or bias.shape != (c,):
+        raise ShapeError(f"cross_attention: gain/bias must have shape ({c},), "
+                         f"got {gain.shape} and {bias.shape}")
+    a = q.data * gain.data
     xt = np.empty(x.shape[:-2] + (C + 2, n), dt)    # channels, then mu and sigma
     xt[..., :C, :] = np.swapaxes(x.data, -1, -2)
     xh = xt[..., None, :, :]                         # [..., 1, C + 2, n], one per head
     a_ext = np.zeros(a.shape[:-1] + (C + 2,), dt)
     a_ext[..., :C] = a[..., :C]
     with np.errstate(invalid="ignore", over="ignore"):   # a non-finite input ends in s
-        if norm is None:
-            xt[..., C, :], xt[..., C + 1, :], inv = 0.0, 1.0, None
-        else:
-            xt[..., C:, :] = np.stack(_token_moments(xt[..., :C, :], P, eps), axis=-2)
-            inv = 1.0 / xt[..., C + 1, None, None, :]
-            a_ext[..., C] = -a.sum(axis=-1)
+        xt[..., C:, :] = np.stack(_token_moments(xt[..., :C, :], P, eps), axis=-2)
+        inv = 1.0 / xt[..., C + 1, None, None, :]
+        a_ext[..., C] = -a.sum(axis=-1)
         s = np.matmul(a_ext, xh)                     # [..., h, m, n]
         s += np.matmul(a[..., C:], P.T)
-        if inv is not None:
-            s *= inv
+        s *= inv
     if not np.isfinite(s).all():
         raise NumericError("cross_attention: scores contain NaN or Inf")
     s -= s.max(axis=-1, keepdims=True)
@@ -502,36 +495,33 @@ def cross_attention(q, x, pos=None, norm=None, rate=0.0, training=False, rng=Non
     s /= s.sum(axis=-1, keepdims=True)
     probs = s
     mask = _dropout_mask(probs.shape, dt, rate, training, rng)
-    w = inv                                          # p′ = probs ⊙ keep ⊙ w
-    if mask is not None:
+    if mask is not None:                             # p′ = probs ⊙ keep ⊙ (inv ⊙ scale)
         keep, scale = mask
-        w = scale if w is None else w * scale
         p2 = np.multiply(probs, keep)
-        p2 *= w
+        p2 *= inv * scale
     else:
-        p2 = probs if w is None else probs * w
+        p2 = probs * inv
     ce = np.matmul(p2, np.swapaxes(xh, -1, -2))      # [..., h, m, C + 2]
     ctx = np.empty(ce.shape[:-1] + (c,), dt)
     ctx[..., :C] = ce[..., :C]
     ctx[..., C:] = (p2.reshape(-1, n) @ P).reshape(ce.shape[:-1] + (c - C,))
     ctx -= ce[..., C:C + 1]
-    out = ctx if norm is None else ctx * gain.data + ce[..., C + 1:] * bias.data
+    out = ctx * gain.data + ce[..., C + 1:] * bias.data
 
     def bwd(g):
-        da = gx = None
-        dctx = g if norm is None else g * gain.data
+        gq = gx = gg = gb = None
+        dctx = g * gain.data
         d_ext = np.empty(g.shape[:-1] + (C + 2,), dt)
         d_ext[..., :C] = dctx[..., :C]
         d_ext[..., C] = -dctx.sum(axis=-1)
-        d_ext[..., C + 1] = 0.0 if norm is None else g @ bias.data
+        d_ext[..., C + 1] = g @ bias.data
         ds = np.matmul(d_ext, xh)                    # d loss / d p′
         ds += (np.ascontiguousarray(dctx[..., C:]).reshape(ds.size // n, c - C)
                @ P.T).reshape(ds.shape)
-        ds *= p2                                     # softmax through p′ = probs ⊙ keep ⊙ w
+        ds *= p2                                     # softmax through p′
         ds -= probs * ds.sum(axis=-1, keepdims=True)
-        if inv is not None:
-            ds *= inv                                # d loss / d(A ĥᵀ σ)
-        if q.requires_grad or (norm is not None and gain.requires_grad):
+        ds *= inv                                    # d loss / d(A ĥᵀ σ)
+        if q.requires_grad or gain.requires_grad:
             e = _reduce_to(np.matmul(ds, np.swapaxes(xh, -1, -2)), a.shape[:-1] + (C + 2,))
             da = np.empty(a.shape, dt)
             da[..., :C] = e[..., :C]
@@ -542,14 +532,9 @@ def cross_attention(q, x, pos=None, norm=None, rate=0.0, training=False, rng=Non
             gt = _reduce_to((np.matmul(np.swapaxes(ds, -1, -2), a) +
                              np.matmul(np.swapaxes(p2, -1, -2), dctx)).sum(axis=-3),
                             x.shape[:-1] + (c,))
-            if norm is not None:
-                t = np.concatenate([x.data, np.broadcast_to(P, x.shape[:-1] + P.shape[1:])], -1)
-                xhat = (t - xt[..., C, :, None]) / xt[..., C + 1, :, None]
-                gt = _standardize_grad(gt, xhat, 1.0)
-            gx = gt[..., :C]
-        if norm is None:
-            return da, gx
-        gq = gg = gb = None
+            t = np.concatenate([x.data, np.broadcast_to(P, x.shape[:-1] + P.shape[1:])], -1)
+            xhat = (t - xt[..., C, :, None]) / xt[..., C + 1, :, None]
+            gx = _standardize_grad(gt, xhat, 1.0)[..., :C]
         if q.requires_grad:
             gq = da * gain.data
         if gain.requires_grad:
@@ -558,7 +543,7 @@ def cross_attention(q, x, pos=None, norm=None, rate=0.0, training=False, rng=Non
             gb = ce[..., C + 1].reshape(-1) @ g.reshape(-1, c)
         return gq, gx, gg, gb
 
-    return _make(out, inputs, bwd)
+    return _make(out, (q, x, gain, bias), bwd)
 
 
 def mean_axis(x, axis):

@@ -20,8 +20,8 @@ from onebt.cost import TABLE_PRESETS, cost_report
 from onebt.data import (SynthSpec, channel_stats,
                         generate_synthetic, loso_splits)
 from onebt.harness import run_fold, run_loso
-from onebt.model import ModelConfig, init_parameters, tokenize
-from onebt.tensor import Tensor, backward, cross_entropy_label_smoothed
+from onebt.model import ModelConfig, init_parameters, _position_features
+from onebt.tensor import backward, cross_entropy_label_smoothed
 from onebt.train import TrainConfig
 from conftest import tiny_config, rel_err
 from reference_tables import PUBLISHED, RATIO_PAIR
@@ -161,18 +161,24 @@ def test_criterion_3_gradients_match_finite_differences(rng):
 # ---------------------------------------------------------------------------
 # criterion 4: structural invariances and serialization hold
 
-def test_criterion_4_structural_invariances(rng, tmp_path):
+def test_criterion_4_structural_invariances(rng, tmp_path, monkeypatch):
     cfg = tiny_config()
     model = init_parameters(cfg, seed=3, dtype=np.float64)
     x = rng.standard_normal((cfg.seq_len, cfg.input_channels))
     base = model.forward(x).data
 
-    # token order is irrelevant to the pooled readout
-    toks = tokenize(x, cfg)
+    # token order is irrelevant to the pooled readout: permute the window's rows
+    # and their position features together
+    pos = _position_features(cfg.seq_len, cfg.num_freq_bands, cfg.max_freq, np.float64)
     for _ in range(3):
         perm = rng.permutation(cfg.seq_len)
-        out = model.forward(Tensor(toks.data[perm])).data
+        with monkeypatch.context() as m:
+            m.setattr("onebt.model._position_features", lambda *_: pos[perm])
+            out = model.forward(x[perm]).data
         assert rel_err(base, out) < 1e-12, "token permutation changed the logits"
+        # control: rows moved without their positions are other tokens
+        assert rel_err(base, model.forward(x[perm]).data) > 1e-3, \
+            "permuting the window alone left the logits unchanged"
 
     # latent order is irrelevant after mean aggregation
     perm_model = init_parameters(cfg, seed=3, dtype=np.float64)

@@ -121,6 +121,9 @@ def test_tokenize_rejects_wrong_geometry(rng):
         tokenize(rng.standard_normal((cfg.seq_len + 1, cfg.input_channels)), cfg)
     with pytest.raises(ShapeError):
         tokenize(rng.standard_normal((cfg.seq_len,)), cfg)
+    # a Tensor would come back as a new leaf, cut off from its gradient
+    with pytest.raises(ShapeError, match="not a Tensor"):
+        tokenize(Tensor(rng.standard_normal((cfg.seq_len, cfg.input_channels))), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -142,19 +145,23 @@ def _attn_inputs(rng, model, batched):
 @pytest.mark.parametrize("batched", [False, True])
 @pytest.mark.parametrize("training", [False, True])
 def test_latent_cross_attention_matches_attention(rng, heads, batched, training):
-    """Same module, two evaluation orders: outputs and every gradient agree."""
+    """Same module, two evaluation orders: outputs and every gradient agree with
+    Attention over kv_norm(kv)."""
     model, att = _cross_attn(heads)
     q, kv = _attn_inputs(rng, model, batched)
     results = []
-    for call in (LatentCrossAttention.__call__, Attention.__call__):
+    for call in (LatentCrossAttention.__call__,
+                 lambda att, q, kv, *a: Attention.__call__(att, q, att.kv_norm(kv), *a)):
         model.zero_grad()
         qt, kvt = Tensor(q.copy(), requires_grad=True), Tensor(kv.copy(), requires_grad=True)
         out = call(att, qt, kvt, 0.3, training, np.random.default_rng(11))
         backward(mean_axis(reshape(out, (out.data.size, 1)), 0))
-        grads = {p.name: p.grad for p in model.parameters() if p.name.startswith("cross.attn.")}
+        grads = {p.name: p.grad for p in model.parameters()
+                 if p.name.startswith(("cross.attn.", "cross.norm_kv."))}
         results.append((out.data, qt.grad, kvt.grad, grads))
     (out_a, gq_a, gkv_a, gp_a), (out_b, gq_b, gkv_b, gp_b) = results
-    assert set(gp_a) == set(gp_b) and len(gp_a) == 5     # q, k, v, out weight, out bias
+    # q, k, v, out weight, out bias; norm_kv gain and bias
+    assert set(gp_a) == set(gp_b) and len(gp_a) == 7
     for a, b in [(out_a, out_b), (gq_a, gq_b), (gkv_a, gkv_b)] + \
             [(gp_a[k], gp_b[k]) for k in gp_a]:
         assert a.shape == b.shape
@@ -163,8 +170,8 @@ def test_latent_cross_attention_matches_attention(rng, heads, batched, training)
 
 @pytest.mark.parametrize("heads", [1, 2])
 def test_grad_latent_cross_attention(rng, heads):
-    """FD oracle for the reassociated products, wrt both inputs and all four
-    projection weights."""
+    """FD oracle for the reassociated products and the norm inside them, wrt
+    both inputs and all four projection weights."""
     model, att = _cross_attn(heads)
     q, kv = _attn_inputs(rng, model, batched=True)
     lins = (att.q, att.k, att.v, att.out)
@@ -407,30 +414,6 @@ def _f64_model(seed=5, **overrides):
     return init_parameters(tiny_config(**overrides), seed=seed, dtype=np.float64)
 
 
-def test_token_permutation_invariance(rng):
-    """Cross-attention pools over tokens, so shuffling token rows is a no-op."""
-    model = _f64_model()
-    cfg = model.cfg
-    x = rng.standard_normal((cfg.seq_len, cfg.input_channels))
-    base = model.forward(x).data
-    for _ in range(3):
-        perm = rng.permutation(cfg.seq_len)
-        toks = tokenize(x, cfg)
-        shuffled = Tensor(toks.data[perm])
-        out = model.forward(shuffled).data
-        assert rel_err(base, out) < 1e-12
-
-
-def test_single_token_permutation_exact(rng):
-    """With one key/value row there is nothing to reorder: bitwise equality."""
-    model = _f64_model(seed=2, seq_len=2)
-    x = rng.standard_normal((2, model.cfg.input_channels))
-    toks = tokenize(x, model.cfg)
-    a = model.forward(Tensor(toks.data.copy())).data
-    b = model.forward(Tensor(toks.data.copy())).data
-    np.testing.assert_array_equal(a, b)
-
-
 def test_latent_permutation_equivariance(rng):
     """Permuting latent rows permutes every intermediate the same way, and the
     mean aggregation then cancels it: logits must be (near) unchanged."""
@@ -483,6 +466,18 @@ def test_batched_forward_matches_per_sample(rng):
         assert rel_err(batched[i], single) < 1e-12
 
 
+def test_forward_refuses_a_tensor(rng):
+    """forward takes window arrays only; tokens are not a second input form."""
+    model = _f64_model()
+    cfg = model.cfg
+    toks = tokenize(rng.standard_normal((cfg.seq_len, cfg.input_channels)).astype(np.float32),
+                    cfg)
+    toks.requires_grad = True
+    for kw in ({"training": False}, {"training": True, "rng": np.random.default_rng(0)}):
+        with pytest.raises(ShapeError, match=r"forward: takes a window array \[L, C\]"):
+            model.forward(toks, **kw)
+
+
 def test_dropout_changes_training_forward_only(rng):
     model = init_parameters(tiny_config(attn_dropout=0.5, ff_dropout=0.5), seed=0)
     x = rng.standard_normal((2, 16, 3)).astype(np.float32)
@@ -519,6 +514,15 @@ def test_param_names_unique_and_stable():
     # q/k/v carry no bias; output projections and FF do
     assert "cross.attn.q_proj.bias" not in names
     assert "cross.ff.down.bias" in names
+    # weights are drawn in registration order, so it fixes every seeded weight and checkpoint
+    assert names[1:18] == [f"cross.{n}" for n in (
+        "norm_q.gain", "norm_q.bias", "norm_kv.gain", "norm_kv.bias",
+        "attn.q_proj.weight", "attn.k_proj.weight", "attn.v_proj.weight",
+        "attn.out_proj.weight", "attn.out_proj.bias", "norm_ff.gain", "norm_ff.bias",
+        "ff.main.weight", "ff.main.bias", "ff.gate.weight", "ff.gate.bias",
+        "ff.down.weight", "ff.down.bias")]
+    assert names[18].startswith("self.0.")
+    assert model.cross.attn.kv_norm is model.cross.norm_kv
 
 
 def test_norm_init_values():
@@ -597,12 +601,10 @@ def _replay_config():
     return ModelConfig(seq_len=256, self_per_cross=4, attn_dropout=0.0, ff_dropout=0.0)
 
 
-@pytest.mark.parametrize("dtype,tokens", [(np.float32, False), (np.float64, False),
-                                          (np.float64, True)])
-def test_backward_through_eval_forward_matches_graph_path(rng, dtype, tokens):
-    """The logits, every parameter's gradient and a grad-requiring token input's
-    gradient, over two accumulating backward calls, are those of the graph path
-    bit for bit."""
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_through_eval_forward_matches_graph_path(rng, dtype):
+    """The logits and every parameter's gradient, over two accumulating backward
+    calls, are those of the graph path bit for bit."""
     cfg = _replay_config()
     model = init_parameters(cfg, seed=2, dtype=dtype)
     x = rng.standard_normal((4, cfg.seq_len, cfg.input_channels)).astype(dtype)
@@ -610,12 +612,10 @@ def test_backward_through_eval_forward_matches_graph_path(rng, dtype, tokens):
     results = []
     for kw in ({"training": False}, {"training": True, "rng": np.random.default_rng(0)}):
         model.zero_grad()
-        inp = Tensor(tokenize(x, cfg).data, requires_grad=True) if tokens else x
-        logits = model.forward(inp, **kw)
+        logits = model.forward(x, **kw)
         for _ in range(2):
             backward(cross_entropy_label_smoothed(logits, labels, 0.1))
-        results.append([logits.data] + [p.grad for p in model.parameters()]
-                       + ([inp.grad] if tokens else []))
+        results.append([logits.data] + [p.grad for p in model.parameters()])
     assert all(g is not None for g in results[0])
     for a, b in zip(*results, strict=True):
         np.testing.assert_array_equal(a, b)

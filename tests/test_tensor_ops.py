@@ -442,70 +442,70 @@ _CROSS_LAYOUTS = {"shared_q": ((2, 3), (2,)), "batched_q": ((2, 2, 3), (2,)),
                   "one_window": ((2, 3), ())}
 
 
-def _cross_inputs(rng, layout, pos_cols, n=7, C=4):
+def _cross_inputs(rng, layout, pos_cols, random_affine, n=7, C=4):
+    """Queries, windows, position columns and the norm's gain and bias: random, or
+    LayerNorm's initial gain 1 and bias 0."""
     q_lead, x_lead = _CROSS_LAYOUTS[layout]
     c = C + pos_cols
-    return (rng.standard_normal(q_lead + (c,)), rng.standard_normal(x_lead + (n, C)),
-            rng.standard_normal((n, pos_cols)) if pos_cols else None,
-            1 + 0.3 * rng.standard_normal(c), rng.standard_normal(c))
+    q, x = rng.standard_normal(q_lead + (c,)), rng.standard_normal(x_lead + (n, C))
+    pos = rng.standard_normal((n, pos_cols)) if pos_cols else None
+    if not random_affine:
+        return q, x, pos, np.ones(c), np.zeros(c)
+    return q, x, pos, 1 + 0.3 * rng.standard_normal(c), rng.standard_normal(c)
 
 
-def _textbook_cross(q, x, pos, norm, rate, rng):
+def _textbook_cross(q, x, pos, gain, bias, rate, rng):
     """softmax(q t̃ᵀ) t̃ over the tokens t = [x, pos], t̃ = layer_norm(t), op by op."""
     t = x if pos is None else np.concatenate(
         [x, np.broadcast_to(pos, x.shape[:-1] + pos.shape[-1:])], axis=-1)
-    t = Tensor(t[..., None, :, :])                                  # one copy per head
-    if norm is not None:
-        t = layer_norm(t, *norm)
+    t = layer_norm(Tensor(t[..., None, :, :]), gain, bias)         # one copy per head
     probs = dropout(softmax_rows(matmul(q, swap_axes(t, -1, -2))), rate, rate > 0, rng)
     return matmul(probs, t)
 
 
 @pytest.mark.parametrize("layout", sorted(_CROSS_LAYOUTS))
 @pytest.mark.parametrize("pos_cols", [0, 3])
-@pytest.mark.parametrize("normed", [False, True])
-def test_cross_attention_matches_textbook_order(rng, layout, pos_cols, normed):
+@pytest.mark.parametrize("random_affine", [False, True])
+def test_cross_attention_matches_textbook_order(rng, layout, pos_cols, random_affine):
     """Output and dropout draw equal the op-by-op LayerNorm, softmax, dropout
     and context products on the tokens [x, pos]."""
-    q, x, pos, gain, bias = _cross_inputs(rng, layout, pos_cols)
-    norm = (gain, bias) if normed else None
-    got = cross_attention(q, x, pos, norm, 0.3, True, np.random.default_rng(4)).data
-    want = _textbook_cross(q, x, pos, norm, 0.3, np.random.default_rng(4)).data
+    q, x, pos, gain, bias = _cross_inputs(rng, layout, pos_cols, random_affine)
+    got = cross_attention(q, x, pos, gain, bias, 0.3, True, np.random.default_rng(4)).data
+    want = _textbook_cross(q, x, pos, gain, bias, 0.3, np.random.default_rng(4)).data
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("layout", sorted(_CROSS_LAYOUTS))
 @pytest.mark.parametrize("pos_cols", [0, 3])
-@pytest.mark.parametrize("normed", [False, True])
-def test_grad_cross_attention(rng, layout, pos_cols, normed):
+@pytest.mark.parametrize("random_affine", [False, True])
+def test_grad_cross_attention(rng, layout, pos_cols, random_affine):
     """FD oracle for the fused op wrt the queries, the windows (the LayerNorm
     backward included) and the norm's gain and bias."""
-    q, x, pos, gain, bias = _cross_inputs(rng, layout, pos_cols)
-    w = Tensor(rng.standard_normal(cross_attention(q, x, pos).shape))   # weigh the outputs
+    q, x, pos, gain, bias = _cross_inputs(rng, layout, pos_cols, random_affine)
+    w = Tensor(rng.standard_normal(cross_attention(q, x, pos, gain, bias).shape))  # output weights
 
-    def op(q, x, *norm):
-        return mul(cross_attention(q, x, pos, norm or None), w)
+    def op(q, x, gain, bias):
+        return mul(cross_attention(q, x, pos, gain, bias), w)
 
-    args = (q, x) + ((gain, bias) if normed else ())
+    args = (q, x, gain, bias)
     for wrt in range(len(args)):
         g, fd = grad_of(op, args, wrt)
         assert rel_err(g, fd) < TOL, f"wrt={wrt}"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("normed", [False, True])
-def test_cross_attention_nonfinite_score_raises(rng, bad, normed):
+@pytest.mark.parametrize("random_affine", [False, True])
+def test_cross_attention_nonfinite_score_raises(rng, bad, random_affine):
     """As softmax_rows does, and without a numpy warning on the way."""
-    q, x, pos, gain, bias = _cross_inputs(rng, "shared_q", 3)
-    norm = (gain, bias) if normed else None
+    q, x, pos, gain, bias = _cross_inputs(rng, "shared_q", 3, random_affine)
     x_bad = x.copy()
     x_bad[1, 2, 0] = bad
     with pytest.raises(NumericError, match="cross_attention: scores"):
-        cross_attention(q, x_bad, pos, norm)
+        cross_attention(q, x_bad, pos, gain, bias)
     q[0, 1, 2] = bad
     with pytest.raises(NumericError, match="cross_attention: scores"):
-        cross_attention(q, x, pos, norm)
+        cross_attention(q, x, pos, gain, bias)
 
 
 def test_grad_mean_axis(rng):
