@@ -178,8 +178,8 @@ def cmd_train(args, argv):
 
 
 def cmd_loso(args, argv):
-    spec, records = _require_data(_load_spec(args))
     jobs = _jobs(args)
+    spec, records = _require_data(_load_spec(args))
     folds, summary = run_loso(records, spec.model, spec.train,
                               task=spec.task, jobs=jobs)
     table = render_table(

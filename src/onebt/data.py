@@ -12,6 +12,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -56,11 +57,6 @@ def record_dtype(seq_len, n_channels):
                          ("signal", "<f4", (seq_len, n_channels))])
     except ValueError as e:          # e.g. a record over numpy's C-int size cap
         raise DataError(f"cannot store a {seq_len} x {n_channels} window as one record: {e}") from None
-
-
-def _check_rate(sample_rate_hz):
-    if not isinstance(sample_rate_hz, (int, np.integer)) or not 0 < sample_rate_hz < 2**32:
-        raise DataError(f"sample_rate_hz must be an integer in 1..2^32-1, got {sample_rate_hz!r}")
 
 
 @dataclass
@@ -133,7 +129,8 @@ def save_dataset(path, records, sample_rate_hz, channel_names, provenance=""):
             raise DataError(f"channel name {name!r} is not ASCII") from None
         if len(raw_names[-1]) > 255:
             raise DataError(f"channel name {name!r} is longer than 255 bytes")
-    _check_rate(sample_rate_hz)
+    if not isinstance(sample_rate_hz, (int, np.integer)) or not 0 < sample_rate_hz < 2**32:
+        raise DataError(f"sample_rate_hz must be an integer in 1..2^32-1, got {sample_rate_hz!r}")
     # every check runs before the first write, so a bad window writes nothing
     _check_windows(records)
     manifest = _build_manifest(records, sample_rate_hz, channel_names, provenance)
@@ -225,23 +222,16 @@ TARGET_CHANNELS = (0, 1, 2, 11, 12, 13)
 @dataclass(frozen=True)
 class SynthSpec:
     """Generator knobs; defaults mirror the real recording design."""
-    n_subjects: int = 11
-    samples_per_cell: int = 12          # per (subject, task, level)
-    seq_len: int = 1280
-    sample_rate_hz: int = 128
-    delta: float = 1.0                  # class-separation knob, 0 = no signal
+    n_subjects: Annotated[int, "[1, 65535]"] = 11               # ids are stored as uint16
+    samples_per_cell: Annotated[int, "[1, inf)"] = 12           # per (subject, task, level)
+    seq_len: Annotated[int, "[2, inf)"] = 1280
+    sample_rate_hz: Annotated[int, "[1, 4294967295]"] = 128     # stored as uint32
+    delta: Annotated[float, "[0, inf)"] = 1.0                   # class separation, 0 = no signal
     amplitude_scale: float = 2.0        # hard-class amplitude per unit delta, in base-sigma units
 
     def __post_init__(self):
         check_field_types(SynthSpec, vars(self), "the synthetic spec", DataError)
-        if not 1 <= self.n_subjects <= 0xFFFF or self.samples_per_cell < 1:
-            raise DataError("n_subjects must be in 1..65535 and samples_per_cell >= 1")
-        if self.seq_len < 2:
-            raise DataError("seq_len must be >= 2")
         record_dtype(self.seq_len, len(DEFAULT_CHANNELS))     # DataError if a window cannot fit
-        if self.delta < 0:
-            raise DataError(f"delta must be finite and >= 0, got {self.delta}")
-        _check_rate(self.sample_rate_hz)
 
 
 def _pink_noise(rng, n):

@@ -14,6 +14,7 @@ All blocks are pre-norm with residual connections; feed-forwards are gated
 
 import functools
 from dataclasses import dataclass, asdict
+from typing import Annotated
 
 import numpy as np
 
@@ -31,21 +32,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelConfig:
-    num_latents: int = 16
-    latent_dim: int = 128
-    cross_heads: int = 1
-    self_heads: int = 1
-    cross_head_dim: int = 64
-    self_head_dim: int = 64
-    self_per_cross: int = 1
-    num_freq_bands: int = 12
-    max_freq: float = 128.0
-    input_channels: int = 14
-    seq_len: int = 1280
-    num_classes: int = 2
-    ff_mult: int = 4
-    attn_dropout: float = 0.10
-    ff_dropout: float = 0.10
+    num_latents: Annotated[int, "[1, inf)"] = 16
+    latent_dim: Annotated[int, "[1, inf)"] = 128
+    cross_heads: Annotated[int, "[1, inf)"] = 1
+    self_heads: Annotated[int, "[1, inf)"] = 1
+    cross_head_dim: Annotated[int, "[1, inf)"] = 64
+    self_head_dim: Annotated[int, "[1, inf)"] = 64
+    self_per_cross: Annotated[int, "[0, inf)"] = 1
+    num_freq_bands: Annotated[int, "[1, inf)"] = 12
+    max_freq: Annotated[float, "[2, inf)"] = 128.0
+    input_channels: Annotated[int, "[1, inf)"] = 14
+    seq_len: Annotated[int, "[2, inf)"] = 1280
+    num_classes: Annotated[int, "[2, inf)"] = 2
+    ff_mult: Annotated[int, "[1, inf)"] = 4
+    attn_dropout: Annotated[float, "[0, 1)"] = 0.10
+    ff_dropout: Annotated[float, "[0, 1)"] = 0.10
 
     @property
     def token_width(self):
@@ -53,25 +54,7 @@ class ModelConfig:
         return self.input_channels + 2 * self.num_freq_bands + 1
 
     def __post_init__(self):
-        check_field_types(ModelConfig, vars(self), "model config")     # floats are finite
-        positive = ("num_latents", "latent_dim", "cross_heads", "self_heads",
-                    "cross_head_dim", "self_head_dim", "num_freq_bands",
-                    "input_channels", "ff_mult")
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
-        if self.self_per_cross < 0:
-            raise ConfigError(f"self_per_cross must be a non-negative integer, got {self.self_per_cross!r}")
-        if self.seq_len < 2:
-            raise ConfigError(f"seq_len must be an integer >= 2, got {self.seq_len!r}")
-        if self.max_freq < 2:
-            raise ConfigError(f"max_freq must be finite and >= 2, got {self.max_freq}")
-        for name in ("attn_dropout", "ff_dropout"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {v}")
+        check_field_types(ModelConfig, vars(self), "model config")
 
     def to_dict(self):
         return asdict(self)

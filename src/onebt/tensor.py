@@ -27,6 +27,7 @@ import dataclasses
 import math
 import os
 import platform
+import sys
 import typing
 
 import numpy as np
@@ -81,19 +82,34 @@ class NumericError(ArithmeticError):
 _ALSO_ACCEPTED = {float: (int,), tuple: (list,)}
 
 
+def _inside(v, interval):
+    """Whether v is a number, not a bool, in an interval such as "[1, inf)" or "(0, 1]"."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and (lo < v if interval[0] == "(" else lo <= v)
+            and (v < hi if interval[-1] == ")" else v <= hi))
+
+
 def check_field_types(cls, d, what, error=ConfigError):
     """Raise error unless each value in d fits its field's annotation in dataclass
     cls: an int passes for a float, a list for a tuple, a bool for nothing, and
-    a float must be finite. Range checks are left to the caller."""
+    a value in a float field must be finite as a float. A field annotated
+    Annotated[type, interval] must also hold a value, or for a tuple only items,
+    in that interval; None, where allowed, is in every interval."""
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     for name, value in d.items():
-        ok = typing.get_args(types[name]) or (types[name],)
+        tp, interval = types[name], None
+        if typing.get_origin(tp) is typing.Annotated:
+            tp, interval = typing.get_args(tp)
+        ok = typing.get_args(tp) or (tp,)
         ok += tuple(t for o in ok for t in _ALSO_ACCEPTED.get(o, ()))
         if isinstance(value, bool) or not isinstance(value, ok):
-            expected = getattr(types[name], "__name__", types[name])
-            raise error(f"{name} must be {expected} in {what}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{name} must be {getattr(tp, '__name__', tp)} in {what}, got {value!r}")
+        if float in ok and value is not None and not abs(value) <= sys.float_info.max:
             raise error(f"{name} must be finite in {what}, got {value!r}")
+        items = value if isinstance(value, (tuple, list)) else (value,)
+        if interval and value is not None and not all(_inside(v, interval) for v in items):
+            raise error(f"{name} must be in {interval} in {what}, got {value!r}")
 
 
 def write_atomic(path, data):

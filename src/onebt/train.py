@@ -11,6 +11,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field, asdict
+from typing import Annotated
 
 import numpy as np
 
@@ -25,45 +26,25 @@ __all__ = ["TrainConfig", "TrainLog", "AdamW", "cosine_lr", "train", "evaluate_c
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 1e-4
-    weight_decay: float = 0.05
-    epochs: int = 200
-    batch_size: int = 32
-    label_smoothing: float = 0.10
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
-    seed: int = 0
-    min_lr: float = 0.0
-    grad_clip: float | None = None      # max global grad norm; None disables
-    aug_noise_sigma: float = 0.0        # gaussian noise, relative to per-channel std
-    aug_cutout_frac: float = 0.0        # zeroed fraction of the window
+    lr: Annotated[float, "(0, inf)"] = 1e-4
+    weight_decay: Annotated[float, "[0, inf)"] = 0.05
+    epochs: Annotated[int, "[1, inf)"] = 200
+    batch_size: Annotated[int, "[1, inf)"] = 32
+    label_smoothing: Annotated[float, "[0, 1)"] = 0.10
+    betas: Annotated[tuple, "[0, 1)"] = (0.9, 0.999)
+    eps: Annotated[float, "(0, inf)"] = 1e-8
+    seed: Annotated[int, "[0, inf)"] = 0
+    min_lr: Annotated[float, "[0, inf)"] = 0.0
+    grad_clip: Annotated[float | None, "(0, inf)"] = None   # max global grad norm; None disables
+    aug_noise_sigma: Annotated[float, "[0, inf)"] = 0.0     # gaussian noise, per-channel std units
+    aug_cutout_frac: Annotated[float, "[0, 1)"] = 0.0       # zeroed fraction of the window
 
     def __post_init__(self):
-        check_field_types(TrainConfig, vars(self), "train config")     # floats are finite
+        check_field_types(TrainConfig, vars(self), "train config")
+        if len(self.betas) != 2:
+            raise ConfigError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
         # a list from a config file compares and hashes like the default tuple
         object.__setattr__(self, "betas", tuple(self.betas))
-        for name in ("lr", "eps"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        for name in ("weight_decay", "min_lr", "aug_noise_sigma"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 <= self.aug_cutout_frac < 1.0:
-            raise ConfigError(f"aug_cutout_frac must be in [0, 1), got {self.aug_cutout_frac}")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ConfigError(f"grad_clip must be > 0 or None, got {self.grad_clip}")
-        if len(self.betas) != 2 or not all(
-                isinstance(b, (int, float)) and not isinstance(b, bool) and 0.0 <= b < 1.0
-                for b in self.betas):
-            raise ConfigError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
 
     def to_dict(self):
         d = asdict(self)

@@ -305,6 +305,8 @@ def test_unknown_spec_key_exits_config(dataset, tmp_path):
     {"task": 5}, {"train": {"lr": float("nan")}}, {"model": {"max_freq": float("inf")}},
     {"train": {"grad_clip": -1}}, {"model": {"num_classes": 1}},
     {"train": {"betas": [False, 0.9]}}, {"train": {"seed": 5}},
+    pytest.param({"model": {"max_freq": 10**400}}, id="{model:{max_freq:10**400}}"),
+    pytest.param({"train": {"lr": 10**400}}, id="{train:{lr:10**400}}"),
 ], ids=lambda raw: json.dumps(raw, separators=(",", ":")).replace('"', ""))
 def test_malformed_spec_value_exits_config(dataset, tmp_path, capsys, raw):
     path = tmp_path / "spec.json"
@@ -319,11 +321,15 @@ def test_malformed_spec_value_exits_config(dataset, tmp_path, capsys, raw):
 @pytest.mark.parametrize("argv", [
     ["train", "--epochs", "0"], ["loso", "--epochs", "0"],
     ["loso", "--jobs", "0"], ["loso", "--jobs", "-3"], ["sweep", "--jobs", "0"],
+    *(pytest.param([command, "--jobs", "0", "--data", "/nonexistent.eeg"],
+                   id=f"{command}_jobs_0_missing_data") for command in ("loso", "sweep")),
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_bad_override_exits_config_without_out_dir(dataset, tmp_path, capsys, argv):
+    """The flag is refused before any file is read: an argv --data that does not
+    exist replaces the dataset and still exits 3."""
     out = tmp_path / "run"
-    rc = main([*argv, "--config", _spec_file(tmp_path), "--data", dataset,
-               "--task", "IQ", "--out", str(out)])
+    rc = main([argv[0], "--config", _spec_file(tmp_path), "--data", dataset,
+               "--task", "IQ", "--out", str(out), *argv[1:]])
     assert rc == EXIT_CODES["config"]
     assert argv[1].lstrip("-") in capsys.readouterr().err     # refused for the flag given
     assert not out.exists()
