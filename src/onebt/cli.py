@@ -1,16 +1,18 @@
 """Command-line entry point: gen-data, train, loso, sweep, cost.
 
 Every command exits 0 on success or a categorized nonzero code with one
-`error[category]: ...` line on stderr and no traceback. Commands that
-produce files write them under --out together with `run.meta` (config
-hash, seed, version) and an echoed `config.json`, so a run is
-reconstructible from its output directory alone.
+`error[category]: ...` line on stderr and no traceback; SIGINT and SIGTERM
+are the category `interrupted`. Commands that produce files write them
+under --out (see _run_dir) with `run.meta` (config hash, seed, version) and
+an echoed `config.json`, so a run is reconstructible from it alone.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
+import signal
 import sys
 from dataclasses import dataclass, field, asdict, replace
 
@@ -28,7 +30,8 @@ from .train import TrainConfig
 
 # category: (exception type, exit code); the first type that matches wins
 ERRORS = {"config": (ConfigError, 3), "data": (DataError, 4), "checkpoint": (CheckpointError, 5),
-          "numeric": (NumericError, 6), "io": (OSError, 7), "internal": (Exception, 8)}
+          "numeric": (NumericError, 6), "io": (OSError, 7), "internal": (Exception, 8),
+          "interrupted": (KeyboardInterrupt, 130)}
 
 
 @dataclass(frozen=True)
@@ -81,28 +84,38 @@ def _json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write(out_dir, name, text):
-    write_atomic(os.path.join(out_dir, name), text.encode("utf-8"))
+@contextlib.contextmanager
+def _run_dir(out, command, spec, argv, **meta):
+    """Make --out if it is missing and yield its one writer, write(name, text).
+    On success the echoed config.json and then run.meta are the last writes;
+    on any failure or interrupt an --out this run made is removed, all but a
+    train.state (the point a rerun resumes from)."""
+    made = not os.path.isdir(out)
+    os.makedirs(out, exist_ok=True)
 
+    def write(name, text):
+        write_atomic(os.path.join(out, name), text.encode("utf-8"))
 
-def _config_hash(spec):
-    blob = json.dumps(spec.to_dict(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _write_meta(out_dir, command, spec, argv, extra=None):
-    """The echoed config.json, then run.meta: every command's last write."""
-    meta = {"command": command, "argv": list(argv),
-            "config_sha256": _config_hash(spec), "seed": spec.seed,
-            "version": __version__}
-    if extra:
-        meta.update(extra)
-    _write(out_dir, "config.json", _json_text(spec.to_dict()))
-    _write(out_dir, "run.meta", _json_text(meta))
+    try:
+        yield write
+        config = spec.to_dict()
+        write("config.json", _json_text(config))
+        config_sha256 = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+        write("run.meta", _json_text({"command": command, "argv": list(argv), "seed": spec.seed,
+                                      "config_sha256": config_sha256, "version": __version__,
+                                      **meta}))
+    except BaseException:
+        for name in set(os.listdir(out) if made else ()) - {"train.state"}:
+            os.remove(os.path.join(out, name))
+        if made and not os.listdir(out):
+            os.rmdir(out)
+        raise
 
 
 def _load_spec(args):
     """The config file (or the defaults) with the command-line flags applied."""
+    if getattr(args, "jobs", 1) < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     spec = RunSpec.from_file(args.config) if args.config else RunSpec()
     given = {"data": args.data, "task": args.task, "seed": args.seed, "out_dir": args.out}
     given = {k: v for k, v in given.items() if v is not None}
@@ -123,12 +136,6 @@ def _require_data(spec):
     model = replace(spec.model, seq_len=manifest.seq_len, input_channels=manifest.n_channels)
     check_fits_memory(model)
     return replace(spec, model=model), records
-
-
-def _jobs(args):
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    return args.jobs
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +164,12 @@ def cmd_train(args, argv):
         if not idx.size:
             raise DataError(f"no samples for task {spec.task}")
 
-    created = not os.path.isdir(spec.out_dir)
-    os.makedirs(spec.out_dir, exist_ok=True)
     state = os.path.join(spec.out_dir, "train.state")    # a rerun after a kill continues it
-    try:
+    with _run_dir(spec.out_dir, "train", spec, argv,
+                  normalization="per-channel z-score over the fit set") as write:
         model, log, _, _ = fit(records, idx, spec.model, spec.train, state)  # train.seed is spec.seed
-    except BaseException:
-        if created and not os.listdir(spec.out_dir):     # failed before its first epoch
-            os.rmdir(spec.out_dir)
-        raise
-    save_model(model, os.path.join(spec.out_dir, "model.ckpt"))
-    _write(spec.out_dir, "train.log.jsonl", jsonl_text(log.records))
-    _write_meta(spec.out_dir, "train", spec, argv,
-                {"normalization": "per-channel z-score over the fit set"})
+        save_model(model, os.path.join(spec.out_dir, "model.ckpt"))
+        write("train.log.jsonl", jsonl_text(log.records))
     os.remove(state)
     print(f"trained {spec.train.epochs} epochs on {len(idx)} samples; "
           f"final loss {log.summary['final_train_loss']:.4f}, "
@@ -177,24 +177,22 @@ def cmd_train(args, argv):
     return 0
 
 
+def _score_cells(summary):
+    """The accuracy, precision and F1 cells of a LOSO summary, as mean ± std."""
+    return [fmt_mean_std(getattr(summary, f"{m}_mean"), getattr(summary, f"{m}_std"))
+            for m in ("accuracy", "precision", "f1")]
+
+
 def cmd_loso(args, argv):
-    jobs = _jobs(args)
     spec, records = _require_data(_load_spec(args))
-    folds, summary = run_loso(records, spec.model, spec.train,
-                              task=spec.task, jobs=jobs)
-    table = render_table(
-        ["task", "folds", "accuracy", "precision", "f1"],
-        [[spec.task or "all", summary.n_folds,
-          fmt_mean_std(summary.accuracy_mean, summary.accuracy_std),
-          fmt_mean_std(summary.precision_mean, summary.precision_std),
-          fmt_mean_std(summary.f1_mean, summary.f1_std)]])
-    os.makedirs(spec.out_dir, exist_ok=True)
-    _write(spec.out_dir, "folds.jsonl", jsonl_text(folds))
-    _write(spec.out_dir, "summary.json", _json_text(asdict(summary)))
-    _write(spec.out_dir, "summary.txt", table + "\n")
-    _write_meta(spec.out_dir, "loso", spec, argv,
-                {"normalization": "per-channel z-score, train-fold statistics",
-                 "jobs": jobs})
+    with _run_dir(spec.out_dir, "loso", spec, argv, jobs=args.jobs,
+                  normalization="per-channel z-score, train-fold statistics") as write:
+        folds, summary = run_loso(records, spec.model, spec.train, task=spec.task, jobs=args.jobs)
+        table = render_table(["task", "folds", "accuracy", "precision", "f1"],
+                             [[spec.task or "all", summary.n_folds, *_score_cells(summary)]])
+        write("folds.jsonl", jsonl_text(folds))
+        write("summary.json", _json_text(asdict(summary)))
+        write("summary.txt", table + "\n")
     print(table)
     return 0
 
@@ -227,15 +225,13 @@ def cmd_cost(args, argv):
     print(text)
     print(f"convention: {records[0]['convention']}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write(args.out, "cost.jsonl", jsonl_text(records))
-        _write(args.out, "cost.txt", text + "\n")
-        _write_meta(args.out, "cost", RunSpec(seed=0), argv)
+        with _run_dir(args.out, "cost", RunSpec(seed=0), argv) as write:
+            write("cost.jsonl", jsonl_text(records))
+            write("cost.txt", text + "\n")
     return 0
 
 
 def cmd_sweep(args, argv):
-    jobs = _jobs(args)
     spec = _load_spec(args)
     if spec.task is not None:
         raise ConfigError(f"sweep runs every task, so it takes no task; got {spec.task!r}")
@@ -248,41 +244,30 @@ def cmd_sweep(args, argv):
         raise ConfigError(f"sweep runs each preset's model, so it takes no model fields "
                           f"but seq_len and input_channels; got {changed}")
 
+    headers = ["table", "config", "Params(M)", "GFLOPs",
+               *(f"{t} {m}" for t in Task.names for m in ("acc", "prec", "f1")), "mean"]
     rows = []
     results = []
-    for table, label, preset in presets:
-        cfg = replace(preset, seq_len=spec.model.seq_len,
-                      input_channels=spec.model.input_channels)
-        rep = cost_report(cfg)
-        summaries = []
-        for t, tname in enumerate(Task.names):
-            _, summary = run_loso(records, cfg, spec.train, task=t, jobs=jobs,
-                                  config_id=f"{table}/{label}")
-            summaries.append(summary)
-        ctm = cross_task_mean(summaries)
-        row = [table, label, f"{rep.params_m:.2f}", f"{rep.gflops:.2f}"]
-        for s in summaries:
-            row.extend([fmt_mean_std(s.accuracy_mean, s.accuracy_std),
-                        fmt_mean_std(s.precision_mean, s.precision_std),
-                        fmt_mean_std(s.f1_mean, s.f1_std)])
-        row.append(f"{100 * ctm:.2f}")
-        rows.append(row)
-        results.append({
-            "table": table, "config": label, "model": cfg.to_dict(),
-            "params_m": rep.params_m, "gflops": rep.gflops,
-            "tasks": {tn: asdict(s) for tn, s in zip(Task.names, summaries)},
-            "cross_task_mean": ctm})
-
-    headers = ["table", "config", "Params(M)", "GFLOPs"]
-    for tname in Task.names:
-        headers += [f"{tname} acc", f"{tname} prec", f"{tname} f1"]
-    headers.append("mean")
-    text = render_table(headers, rows)
-    print(text)
-    os.makedirs(spec.out_dir, exist_ok=True)
-    _write(spec.out_dir, "sweep.txt", text + "\n")
-    _write(spec.out_dir, "sweep.jsonl", jsonl_text(results))
-    _write_meta(spec.out_dir, "sweep", spec, argv, {"preset": args.preset})
+    with _run_dir(spec.out_dir, "sweep", spec, argv, preset=args.preset) as write:
+        for table, label, preset in presets:
+            cfg = replace(preset, seq_len=spec.model.seq_len,
+                          input_channels=spec.model.input_channels)
+            rep = cost_report(cfg)
+            summaries = [run_loso(records, cfg, spec.train, task=t, jobs=args.jobs,
+                                  config_id=f"{table}/{label}")[1] for t in range(len(Task.names))]
+            ctm = cross_task_mean(summaries)
+            rows.append([table, label, f"{rep.params_m:.2f}", f"{rep.gflops:.2f}",
+                         *(cell for s in summaries for cell in _score_cells(s)),
+                         f"{100 * ctm:.2f}"])
+            results.append({
+                "table": table, "config": label, "model": cfg.to_dict(),
+                "params_m": rep.params_m, "gflops": rep.gflops,
+                "tasks": {tn: asdict(s) for tn, s in zip(Task.names, summaries)},
+                "cross_task_mean": ctm})
+        text = render_table(headers, rows)
+        print(text)
+        write("sweep.txt", text + "\n")
+        write("sweep.jsonl", jsonl_text(results))
     return 0
 
 
@@ -345,13 +330,17 @@ def _build_parser():
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
+    sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)    # as SIGINT stops a run
     try:
         return args.fn(args, argv)
-    except Exception as e:
+    except (Exception, KeyboardInterrupt) as e:
         category = next(c for c, (cls, _) in ERRORS.items() if isinstance(e, cls))
-        message = f"{type(e).__name__}: {e}" if category == "internal" else e
+        message = {"internal": f"{type(e).__name__}: {e}",
+                   "interrupted": "stopped by SIGINT or SIGTERM"}.get(category, e)
         print(f"error[{category}]: {message}", file=sys.stderr)
         return ERRORS[category][1]
+    finally:
+        signal.signal(signal.SIGTERM, sigterm)
 
 
 if __name__ == "__main__":

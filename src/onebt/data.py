@@ -129,8 +129,9 @@ def save_dataset(path, records, sample_rate_hz, channel_names, provenance=""):
             raise DataError(f"channel name {name!r} is not ASCII") from None
         if len(raw_names[-1]) > 255:
             raise DataError(f"channel name {name!r} is longer than 255 bytes")
-    if not isinstance(sample_rate_hz, (int, np.integer)) or not 0 < sample_rate_hz < 2**32:
-        raise DataError(f"sample_rate_hz must be an integer in 1..2^32-1, got {sample_rate_hz!r}")
+    if isinstance(sample_rate_hz, np.integer):       # the config rule takes a plain int
+        sample_rate_hz = int(sample_rate_hz)
+    check_field_types(SynthSpec, {"sample_rate_hz": sample_rate_hz}, "the dataset", DataError)
     # every check runs before the first write, so a bad window writes nothing
     _check_windows(records)
     manifest = _build_manifest(records, sample_rate_hz, channel_names, provenance)

@@ -8,7 +8,9 @@ the jobs count never changes the numbers.
 """
 
 import ctypes
+import multiprocessing
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -53,7 +55,10 @@ _worker_env = {}
 
 
 def _init_worker(records, model_cfg, train_cfg, workers):
-    """Keep the fold inputs; give numpy's OpenBLAS usable CPUs // workers threads."""
+    """Keep the fold inputs; leave SIGINT to the parent, whose SIGTERM ends the
+    worker; give numpy's OpenBLAS usable CPUs // workers threads."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _worker_env.update(records=records, model_cfg=model_cfg, train_cfg=train_cfg)
     with open("/proc/self/maps" if os.path.exists("/proc/self/maps") else os.devnull) as f:
         libs = {line.split()[-1] for line in f if "openblas" in line}     # none off Linux
@@ -89,11 +94,15 @@ def run_loso(records, model_cfg, train_cfg, task=None, jobs=1, config_id=""):
         results = [run_fold(records, tr, te, model_cfg, train_cfg, fid)[0]
                    for fid, tr, te in jobs_list]
     else:
-        with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(records, model_cfg, train_cfg, workers)) as ex:
-            results = list(ex.map(_run_one, jobs_list))
+        with ProcessPoolExecutor(workers, initializer=_init_worker,
+                                 initargs=(records, model_cfg, train_cfg, workers)) as ex:
+            others = set(multiprocessing.active_children())
+            try:
+                results = list(ex.map(_run_one, jobs_list))
+            except BaseException:       # a failed fold or an interrupt: stop the running folds
+                for worker in set(multiprocessing.active_children()) - others:
+                    worker.terminate()
+                raise
     results.sort(key=lambda r: r.fold_id)
     summary = aggregate(results, config_id=config_id, task=task)
     return results, summary

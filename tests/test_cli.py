@@ -1,10 +1,12 @@
 """Command line surface: artifacts on disk, determinism, exit codes, and the
 published cost table through the user-facing entry point."""
 
+import contextlib
 import ctypes
 import json
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -206,18 +208,20 @@ def test_model_too_large_for_memory_exits_config(dataset, tmp_path, capsys, comm
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "loso", "sweep"])
+@pytest.mark.parametrize("command", [["train"], ["loso"], ["loso", "--jobs", "2"],
+                                     ["sweep", "--preset", "table4"]],
+                         ids=["train", "loso", "loso_jobs2", "sweep"])
 def test_diverged_training_exits_numeric_without_out_dir(dataset, tmp_path, command):
     """A learning rate that overflows the weights in one step exits 6 with one
     line on stderr, raised by the optimizer update itself (no numpy warning
-    comes first), and leaves no --out. A subprocess, so the warnings tier-1
-    makes errors would show on stderr."""
+    comes first), and leaves no --out, also when the step runs in a fold
+    worker. A subprocess, so the warnings tier-1 makes errors would show on
+    stderr."""
     path = tmp_path / "diverge.json"
     path.write_text(json.dumps({"train": {"lr": 1e300, "batch_size": 64}}))
     out = tmp_path / "out"
-    argv = [command, "--config", str(path), "--data", dataset, "--epochs", "1", "--out", str(out)]
-    if command == "sweep":
-        argv += ["--preset", "table4"]
+    argv = [*command, "--config", str(path), "--data", dataset, "--epochs", "1",
+            "--out", str(out)]
     proc = subprocess.run([sys.executable, "-m", "onebt.cli", *argv], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert proc.returncode == EXIT_CODES["numeric"] == 6, proc.stderr
@@ -226,13 +230,80 @@ def test_diverged_training_exits_numeric_without_out_dir(dataset, tmp_path, comm
     assert not out.exists()
 
 
-def test_keyboard_interrupt_is_not_caught(dataset, tmp_path, monkeypatch):
+def test_keyboard_interrupt_exits_interrupted_without_new_out_dir(dataset, tmp_path, capsys,
+                                                                  monkeypatch):
+    """An interrupt while training exits 130 with one error[interrupted] line
+    and no traceback. It removes an --out that the run made, and leaves one
+    that existed before the run as it was."""
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
     monkeypatch.setattr(onebt.cli, "fit", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        main(["train", "--config", _spec_file(tmp_path), "--data", dataset,
-              "--out", str(tmp_path / "x")])
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "notes.txt").write_text("kept")
+    for out in (tmp_path / "new", old):
+        before = out.exists() and _tree(out)
+        rc = main(["train", "--config", _spec_file(tmp_path), "--data", dataset,
+                   "--out", str(out)])
+        assert rc == EXIT_CODES["interrupted"] == 130
+        assert capsys.readouterr().err == "error[interrupted]: stopped by SIGINT or SIGTERM\n"
+        assert (out.exists() and _tree(out)) == before
+
+
+def _interrupted(argv, sig):
+    """Start `onebt <argv>` in a new session with SIGINT at its default, as a
+    shell starts it, and signal its whole process group with sig once --out
+    exists and one more second has passed. Returns (exit code, seconds from
+    the signal to the exit, stderr, whether any process of the group is left).
+    The group is SIGKILLed at the end, so a failure leaves nothing running."""
+    out = Path(argv[argv.index("--out") + 1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "onebt.cli", *argv], stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    try:
+        deadline = time.monotonic() + 60
+        while not out.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+        time.sleep(1)
+        assert proc.poll() is None, proc.communicate()[1]
+        os.killpg(proc.pid, sig)
+        signalled = time.monotonic()
+        stderr = proc.communicate(timeout=5)[1]
+        took = time.monotonic() - signalled
+        try:
+            os.killpg(proc.pid, 0)
+            left = True
+        except ProcessLookupError:
+            left = False
+        return proc.returncode, took, stderr, left
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+@pytest.mark.parametrize("argv, sig", [
+    (["train"], signal.SIGINT),
+    (["loso", "--jobs", "1"], signal.SIGINT),
+    (["loso", "--jobs", "2"], signal.SIGINT),
+    (["sweep", "--preset", "table4", "--jobs", "2"], signal.SIGINT),
+    (["loso", "--jobs", "2"], signal.SIGTERM),
+], ids=["train", "loso_jobs1", "loso_jobs2", "sweep_jobs2", "loso_jobs2_sigterm"])
+def test_interrupt_stops_the_whole_run(dataset, tmp_path, argv, sig):
+    """SIGINT or SIGTERM to a running command's process group, pool workers
+    included, exits 130 within 5 s with one stderr line, leaves no process of
+    the group, and leaves no --out, or one that holds only train.state."""
+    out = tmp_path / "out"
+    spec = _spec_file(tmp_path, **({"model": {}} if argv[0] == "sweep" else {}))
+    rc, took, stderr, left = _interrupted(
+        [*argv, "--config", spec, "--data", dataset, "--epochs", "100000", "--out", str(out)], sig)
+    assert rc == 130, stderr
+    assert took < 5
+    assert stderr == "error[interrupted]: stopped by SIGINT or SIGTERM\n"
+    assert not left
+    assert not out.exists() or os.listdir(out) == ["train.state"]
 
 
 def test_train_unknown_task_exits_data(dataset, tmp_path):
@@ -619,14 +690,18 @@ def test_failed_writes_leave_each_file_old_or_new(dataset, tmp_path, capsys, com
     part-way. When all fail, it exits 7 and every file is the first run's; when
     only the k-th fails, for each k, every file is whole and either the first
     run's or the rerun's. No temp file is left, and a train.state (the resume
-    point) may be."""
+    point) may be. Run into a target that did not exist while the k-th write
+    fails, and no target is left, or one that holds only a train.state
+    (gen-data's target is its dataset file: each file left is the rerun's)."""
     spec = _spec_file(tmp_path, **({"model": {}} if command == "sweep" else {}))   # presets own it
     target = tmp_path / "run"               # one path for every run: run.meta names it
 
     def run(seed, files=None):
-        """Run into target, which holds exactly `files` ({name: bytes}) first."""
+        """Run into target, which holds exactly `files` ({name: bytes}) first,
+        or is missing when files is None (gen-data's directory is always made)."""
         shutil.rmtree(target, ignore_errors=True)
-        target.mkdir()
+        if files is not None or command == "gen-data":
+            target.mkdir()
         for name, blob in (files or {}).items():
             (target / name).write_bytes(blob)
         return main(_argv(command, target, dataset, spec, seed))
@@ -655,6 +730,21 @@ def test_failed_writes_leave_each_file_old_or_new(dataset, tmp_path, capsys, com
     else:
         pytest.fail("the rerun never completed")
     assert k > 2                                # every command writes at least two files
+
+    for k in range(1, 20):
+        with disk_full(only=k):
+            rc = run(2)
+        after = _tree(target) if target.exists() else {}
+        if rc == 0:
+            assert after == new
+            break
+        assert rc == EXIT_CODES["io"]
+        if command == "gen-data":
+            assert all(blob == new[name] for name, blob in after.items()), k
+        else:
+            assert set(after) <= ({"train.state"} if command == "train" else set()), k
+    else:
+        pytest.fail("the run into a new target never completed")
     assert "error[io]" in capsys.readouterr().err
 
 

@@ -142,10 +142,13 @@ def test_save_load_round_trip_bitwise(tmp_path, small_set):
     assert loaded.tobytes() == samples.tobytes()
     assert loaded.flags.writeable
     assert (tmp_path / "d.eeg.manifest.txt").exists()
-    # a plain structured array of the same dtype writes the same bytes
-    save_dataset(tmp_path / "plain.eeg", samples.view(np.ndarray), manifest.sample_rate_hz,
-                 manifest.channel_names, manifest.provenance)
+    # a plain structured array of the same dtype, with a numpy integer rate,
+    # writes the same bytes and the same sidecar
+    save_dataset(tmp_path / "plain.eeg", samples.view(np.ndarray),
+                 np.int64(manifest.sample_rate_hz), manifest.channel_names, manifest.provenance)
     assert (tmp_path / "plain.eeg").read_bytes() == p.read_bytes()
+    assert ((tmp_path / "plain.eeg.manifest.txt").read_bytes()
+            == (tmp_path / "d.eeg.manifest.txt").read_bytes())
 
 
 def test_truncated_file_reports_offset(tmp_path, small_set):
@@ -183,7 +186,8 @@ def test_nonfinite_signal_rejected_on_save(tmp_path, small_set):
 
 
 @pytest.mark.parametrize("case", ["task", "label", "wrong_dtype", "plain_array", "nan",
-                                  "float32_overflow", "channel_name", "sample_rate"])
+                                  "float32_overflow", "channel_name", "sample_rate",
+                                  "sample_rate_bool"])
 def test_bad_late_sample_leaves_no_file(tmp_path, small_set, case):
     """Every window is checked before the file is opened: a bad one anywhere
     raises DataError and writes neither the dataset nor its sidecar."""
@@ -192,6 +196,8 @@ def test_bad_late_sample_leaves_no_file(tmp_path, small_set, case):
     names, rate = manifest.channel_names, manifest.sample_rate_hz
     if case == "sample_rate":
         rate = -1
+    elif case == "sample_rate_bool":    # a bool is an int to Python; the header would store 1
+        rate = True
     elif case == "channel_name":
         names = ("Fp\u00e9",) + names[1:]
     elif case == "task":

@@ -5,10 +5,12 @@
 OTHER_SRC is the `src` directory of another checkout (say, the parent commit
 from `git archive`). Each side runs gen-data, train, loso and sweep (each at
 --jobs 1 and 2) and cost with the same arguments and relative paths, in its own
-directory under WORK_DIR (a new temporary directory by default). Prints each
-differing file, with the largest absolute difference among the numeric fields
-of a .json or .jsonl file present on both sides, and exits 1 if any output
-file differs in name or bytes.
+directory under WORK_DIR (a new temporary directory by default). Each side
+also runs two loso commands that must fail: one refused before it starts and
+one that diverges after its --out is made. Prints each differing file, with
+the largest absolute difference among the numeric fields of a .json or .jsonl
+file present on both sides, and each failing run whose exit code, stderr or
+leftover --out differs; exits 1 if anything differs.
 """
 
 import json
@@ -35,16 +37,28 @@ COMMANDS = [
      "--out", "sweep2"],
     ["cost", "--out", "cost"],
 ]
+FAILING = [        # the last argument of each is its --out
+    ["loso", "--data", "d.eeg", "--config", "spec.json", "--jobs", "0", "--out", "refused"],
+    ["loso", "--data", "d.eeg", "--config", "diverge.json", "--out", "diverged"],
+]
 
 
 def run_side(src, cwd):
     cwd.mkdir(parents=True)
     (cwd / "spec.json").write_text(json.dumps(SPEC))
+    (cwd / "diverge.json").write_text(json.dumps({"train": {"lr": 1e300}}))
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     for argv in COMMANDS:
         subprocess.run([sys.executable, "-m", "onebt.cli", *argv], cwd=cwd, env=env,
                        check=True, stdout=subprocess.DEVNULL)
-    return {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+    failures = {}
+    for argv in FAILING:
+        proc = subprocess.run([sys.executable, "-m", "onebt.cli", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True)
+        failures[" ".join(argv)] = (f"exit {proc.returncode}, stderr {proc.stderr!r}, "
+                                    f"--out {'left' if (cwd / argv[-1]).exists() else 'absent'}")
+    files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+    return files, failures
 
 
 def numbers(value, path=""):
@@ -75,13 +89,20 @@ def largest_difference(name, a, b):
 def main(argv):
     other = Path(argv[0]).resolve()
     work = Path(argv[1]) if len(argv) > 1 else Path(tempfile.mkdtemp(prefix="onebt-diff-"))
-    here, there = run_side(HERE_SRC, work / "here"), run_side(other, work / "other")
+    (here, here_failed), (there, there_failed) = (run_side(HERE_SRC, work / "here"),
+                                                  run_side(other, work / "other"))
     differ = sorted(n for n in here.keys() | there.keys() if here.get(n) != there.get(n))
     for name in differ:
         moved = name in here and name in there and largest_difference(name, here[name], there[name])
         print(f"differs: {name}" + (f"  max |diff| {moved[0]:.3g} at {moved[1]}" if moved else ""))
-    print(f"{len(here.keys() | there.keys()) - len(differ)} identical, {len(differ)} differ, in {work}")
-    return 1 if differ else 0
+    fail_differ = [run for run in here_failed if here_failed[run] != there_failed[run]]
+    for run in fail_differ:
+        print(f"fails differently: onebt {run}\n  here:  {here_failed[run]}\n"
+              f"  other: {there_failed[run]}")
+    print(f"{len(here.keys() | there.keys()) - len(differ)} identical, {len(differ)} differ; "
+          f"{len(FAILING) - len(fail_differ)} failing runs alike, {len(fail_differ)} differ; "
+          f"in {work}")
+    return 1 if differ or fail_differ else 0
 
 
 if __name__ == "__main__":
