@@ -11,7 +11,7 @@ import ctypes
 import multiprocessing
 import os
 import signal
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -97,11 +97,17 @@ def run_loso(records, model_cfg, train_cfg, task=None, jobs=1, config_id=""):
         with ProcessPoolExecutor(workers, initializer=_init_worker,
                                  initargs=(records, model_cfg, train_cfg, workers)) as ex:
             others = set(multiprocessing.active_children())
+            futures = [ex.submit(_run_one, job) for job in jobs_list]
             try:
-                results = list(ex.map(_run_one, jobs_list))
-            except BaseException:       # a failed fold or an interrupt: stop the running folds
+                results = [f.result() for f in futures]
+            except BaseException as e:  # a failed fold or an interrupt: stop the running folds
                 for worker in set(multiprocessing.active_children()) - others:
                     worker.terminate()
+                if isinstance(e, BrokenProcessPool):     # only a kill from outside ends a worker
+                    lost = [str(i) for i, f in zip(ids, futures) if not f.done() or f.exception()]
+                    raise BrokenProcessPool(
+                        f"folds {', '.join(lost)} lost their worker, most likely to a kill from "
+                        "outside the program, such as the out-of-memory killer's") from e
                 raise
     results.sort(key=lambda r: r.fold_id)
     summary = aggregate(results, config_id=config_id, task=task)

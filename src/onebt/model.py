@@ -212,10 +212,11 @@ class Attention:
     def __call__(self, q_in, kv_in, attn_dropout=0.0, training=False, rng=None):
         q = self._split(self.q(q_in))
         k = self._split(self.k(kv_in))
-        v = self._split(self.v(kv_in))
         scores = scale(matmul(q, swap_axes(k, -1, -2)), 1.0 / np.sqrt(self.head_dim))
+        del q, k                    # with no graph, nothing else holds a released local's array
         probs = dropout(softmax_rows(scores), attn_dropout, training, rng)
-        return self._merge(matmul(probs, v))
+        del scores
+        return self._merge(matmul(probs, self._split(self.v(kv_in))))
 
     def _merge(self, ctx):
         # [..., h, m, hd] -> [..., m, h*hd] -> out_proj

@@ -203,10 +203,14 @@ def _as_tensor(x):
 _graph = True        # False while _replayed runs its function: ops then attach no node
 
 
+def _records(*inputs):     # whether an op records a node; one that does not keeps only its output
+    return _graph and any(t.requires_grad for t in inputs)
+
+
 def _make(data, inputs, backward_fn):
     """Wrap an op result, attaching a node only if something upstream needs grads."""
     out = Tensor(data)
-    if _graph and any(t.requires_grad for t in inputs):
+    if _records(*inputs):
         out.requires_grad = True
         out.node = _Node(inputs, backward_fn)
     return out
@@ -337,11 +341,12 @@ def scale(a, s):
 
 
 def _flat_blocks(*arrays):
-    """Matching flat slices of at most _GELU_BLOCK elements; an output must be
-    C-contiguous so that its slices are views."""
+    """Matching flat slices of at most _GELU_BLOCK elements; an output must be C-contiguous
+    so that its slices are views, and one shorter than the first is scratch, from its start."""
     flat = [a.reshape(-1) for a in arrays]
     for i in range(0, flat[0].size, _GELU_BLOCK):
-        yield [f[i:i + _GELU_BLOCK] for f in flat]
+        n = min(_GELU_BLOCK, flat[0].size - i)
+        yield [f[i:i + n] if f.size == flat[0].size else f[:n] for f in flat]
 
 
 def _erf(t, out, s, q):
@@ -368,9 +373,9 @@ def gelu(a):
     float64 and within 5e-7 of it in float32 (see _erf)."""
     a = _as_tensor(a)
     x = a.data
-    e = np.empty(x.shape, x.dtype)              # erf(x / sqrt(2)), for the backward
-    out = np.empty_like(e)
     t, s = np.empty((2, min(x.size, _GELU_BLOCK)), x.dtype)
+    e = np.empty(x.shape if _records(a) else t.size, x.dtype)   # erf(x / √2), for the backward
+    out = np.empty(x.shape, x.dtype)
     for xb, eb, ob in _flat_blocks(x, e, out):
         n = xb.size
         _erf(np.multiply(xb, _INV_SQRT2, out=t[:n]), eb, s[:n], ob)  # ob: scratch until here
@@ -399,11 +404,12 @@ def gelu(a):
 def softmax_rows(a):
     """Softmax over the last axis, stabilised by subtracting the row max."""
     a = _as_tensor(a)
-    if not np.all(np.isfinite(a.data)):
+    top = a.data.max(axis=-1, keepdims=True)       # NaN and +inf show in it, -inf in the min
+    if not (np.isfinite(top).all() and np.isfinite(a.data.min(initial=0.0))):
         raise NumericError("softmax_rows: input contains NaN or Inf")
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = a.data - top
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def bwd(g):
         dot = (g * p).sum(axis=-1, keepdims=True)
@@ -504,19 +510,21 @@ def cross_attention(q, x, pos, gain, bias, rate=0.0, training=False, rng=None, e
         s = np.matmul(a_ext, xh)                     # [..., h, m, n]
         s += np.matmul(a[..., C:], P.T)
         s *= inv
-    if not np.isfinite(s).all():
+    top = s.max(axis=-1, keepdims=True)              # as softmax_rows checks, with no bool array
+    if not (np.isfinite(top).all() and np.isfinite(s.min(initial=0.0))):
         raise NumericError("cross_attention: scores contain NaN or Inf")
-    s -= s.max(axis=-1, keepdims=True)
+    s -= top
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     probs = s
+    p2 = np.empty_like(probs) if _records(q, x, gain, bias) else probs   # the backward reads both
     mask = _dropout_mask(probs.shape, dt, rate, training, rng)
     if mask is not None:                             # p′ = probs ⊙ keep ⊙ (inv ⊙ scale)
         keep, scale = mask
-        p2 = np.multiply(probs, keep)
+        np.multiply(probs, keep, out=p2)
         p2 *= inv * scale
     else:
-        p2 = probs * inv
+        np.multiply(probs, inv, out=p2)
     ce = np.matmul(p2, np.swapaxes(xh, -1, -2))      # [..., h, m, C + 2]
     ctx = np.empty(ce.shape[:-1] + (c,), dt)
     ctx[..., :C] = ce[..., :C]

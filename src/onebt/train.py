@@ -100,14 +100,18 @@ class AdamW:
                 raise NumericError(f"no gradient for parameter {p.name!r}")
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient for parameter {p.name!r}")
-            g = np.asarray(g, dtype=p.data.dtype)     # never promote the weights
-            try:
+            w, m, v = p.data, self.m[p.name], self.v[p.name]
+            g = np.asarray(g, dtype=w.dtype)          # never promote the weights
+            s, r = np.empty((2,) + w.shape, w.dtype)
+            try:    # in place, rounding as w·(1 - lr·wd) - lr·(m/c1) / (√(v/c2) + eps) does
                 with np.errstate(over="raise", invalid="raise"):
                     if self.weight_decay:
-                        p.data = p.data * (1.0 - lr * self.weight_decay)
-                    m = self.m[p.name] = b1 * self.m[p.name] + (1 - b1) * g
-                    v = self.v[p.name] = b2 * self.v[p.name] + (1 - b2) * (g * g)
-                    p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+                        w *= 1.0 - lr * self.weight_decay
+                    np.add(np.multiply(m, b1, out=m), np.multiply(g, 1 - b1, out=s), out=m)
+                    np.multiply(np.multiply(g, g, out=s), 1 - b2, out=s)
+                    np.add(np.multiply(v, b2, out=v), s, out=v)     # b2·v + (1 - b2)·(g·g)
+                    np.add(np.sqrt(np.divide(v, c2, out=r), out=r), self.eps, out=r)
+                    w -= np.divide(np.multiply(np.divide(m, c1, out=s), lr, out=s), r, out=s)
             except FloatingPointError as e:
                 raise NumericError(f"non-finite weight {p.name!r} in step {self.t}: {e}") from e
 

@@ -5,6 +5,7 @@ import contextlib
 import ctypes
 import json
 import os
+import re
 import shutil
 import signal
 import struct
@@ -250,12 +251,13 @@ def test_keyboard_interrupt_exits_interrupted_without_new_out_dir(dataset, tmp_p
         assert (out.exists() and _tree(out)) == before
 
 
-def _interrupted(argv, sig):
+def _interrupted(argv, sig, worker=False):
     """Start `onebt <argv>` in a new session with SIGINT at its default, as a
-    shell starts it, and signal its whole process group with sig once --out
-    exists and one more second has passed. Returns (exit code, seconds from
-    the signal to the exit, stderr, whether any process of the group is left).
-    The group is SIGKILLed at the end, so a failure leaves nothing running."""
+    shell starts it, and signal its whole process group, or with worker only
+    its first child process, with sig once --out exists and one more second
+    has passed. Returns (exit code, seconds from the signal to the exit,
+    stderr, whether any process of the group is left). The group is SIGKILLed
+    at the end, so a failure leaves nothing running."""
     out = Path(argv[argv.index("--out") + 1])
     proc = subprocess.Popen(
         [sys.executable, "-m", "onebt.cli", *argv], stdout=subprocess.DEVNULL,
@@ -268,7 +270,11 @@ def _interrupted(argv, sig):
             time.sleep(0.02)
         time.sleep(1)
         assert proc.poll() is None, proc.communicate()[1]
-        os.killpg(proc.pid, sig)
+        if worker:
+            children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children").read_text().split()
+            os.kill(int(children[0]), sig)
+        else:
+            os.killpg(proc.pid, sig)
         signalled = time.monotonic()
         stderr = proc.communicate(timeout=5)[1]
         took = time.monotonic() - signalled
@@ -304,6 +310,27 @@ def test_interrupt_stops_the_whole_run(dataset, tmp_path, argv, sig):
     assert stderr == "error[interrupted]: stopped by SIGINT or SIGTERM\n"
     assert not left
     assert not out.exists() or os.listdir(out) == ["train.state"]
+
+
+def test_killed_fold_worker_is_named(dataset, tmp_path):
+    """A fold worker killed from outside the program, as the out-of-memory
+    killer kills, ends `loso` with exit 8 and one line that names the folds
+    that had not returned and the likely cause. It leaves no process of the
+    group and no --out."""
+    out = tmp_path / "out"
+    rc, took, stderr, left = _interrupted(
+        ["loso", "--jobs", "2", "--config", _spec_file(tmp_path), "--data", dataset,
+         "--epochs", "2000", "--out", str(out)], signal.SIGKILL, worker=True)
+    assert rc == EXIT_CODES["internal"] == 8, stderr
+    assert took < 5
+    found = re.fullmatch(r"error\[internal\]: BrokenProcessPool: folds (\d+(?:, \d+)*) lost "
+                         r"their worker, most likely to a kill from outside the program, such "
+                         r"as the out-of-memory killer's\n", stderr)
+    assert found, stderr
+    subjects = set(load_dataset(dataset)[1].subject_id.tolist())
+    assert set(map(int, found[1].split(", "))) <= subjects
+    assert not left
+    assert not out.exists()
 
 
 def test_train_unknown_task_exits_data(dataset, tmp_path):

@@ -136,6 +136,8 @@ def test_softmax_rows_rejects_nonfinite():
         softmax_rows(Tensor([[1.0, np.nan]]))
     with pytest.raises(NumericError):
         softmax_rows(Tensor([[np.inf, 1.0]]))
+    with pytest.raises(NumericError):
+        softmax_rows(Tensor([[1.0, 2.0], [3.0, -np.inf]]))
 
 
 def test_layer_norm_two_values():
@@ -207,13 +209,15 @@ BLOCK = onebt.tensor._GELU_BLOCK
 @pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, "swap_axes"])
 def test_gelu_blocks_match_one_whole_array_pass(rng, monkeypatch, size):
     """gelu works through its input in flat blocks; forward and backward are
-    bit-identical to one pass over the whole array, on a non-contiguous input too."""
+    bit-identical to one pass over the whole array, on a non-contiguous input too,
+    and so is the forward without a graph, which keeps erf only a block at a time."""
     if size == "swap_axes":
         x, g = np.swapaxes(3 * rng.standard_normal((2, 3, BLOCK // 2 + 5), dtype=np.float32), 1, 2)
         assert not x.flags.c_contiguous
     else:
         x, g = 3 * rng.standard_normal((2, size), dtype=np.float32)
     blocked = _gelu_fwd_bwd(x, g)
+    assert gelu(Tensor(x)).data.tobytes() == blocked[0].tobytes()
     monkeypatch.setattr(onebt.tensor, "_GELU_BLOCK", x.size + 1)
     whole = _gelu_fwd_bwd(x, g)
     for b, w in zip(blocked, whole):
@@ -474,6 +478,18 @@ def test_cross_attention_matches_textbook_order(rng, layout, pos_cols, random_af
     want = _textbook_cross(q, x, pos, gain, bias, 0.3, np.random.default_rng(4)).data
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("layout", sorted(_CROSS_LAYOUTS))
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_cross_attention_same_bits_with_and_without_graph(rng, layout, rate):
+    """Without a graph the op scales the probabilities in place; its output and
+    dropout draw are those of the graph-recording op bit for bit."""
+    q, x, pos, gain, bias = _cross_inputs(rng, layout, 3, True)
+    out = [cross_attention(Tensor(q, requires_grad=grad), x, pos, gain, bias, rate, True,
+                           np.random.default_rng(4)) for grad in (False, True)]
+    assert out[0].node is None and out[1].node is not None
+    assert out[0].data.tobytes() == out[1].data.tobytes()
 
 
 @pytest.mark.parametrize("layout", sorted(_CROSS_LAYOUTS))

@@ -3,7 +3,11 @@ bitwise determinism, exact resume, and the learning smoke tests."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,38 @@ def test_adamw_vector_matches_elementwise_scalar():
         assert vec.data[i] == pytest.approx(expect, rel=1e-10)
 
 
+def _textbook_adamw(w, m, v, g, lr, t, b1, b2, eps, wd):
+    """One out-of-place AdamW step on arrays, in the order the optimizer keeps."""
+    w = w * (1.0 - lr * wd)
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * (g * g)
+    return w - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps), m, v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_updates_in_place_as_textbook_formula(dtype):
+    """Weights and both moments are updated in their own arrays, and equal the
+    out-of-place formula's bit for bit, step after step."""
+    rng = np.random.default_rng(7)
+    params = [Parameter(f"p{i}", rng.standard_normal(s).astype(dtype))
+              for i, s in enumerate([(3, 4), (5,)])]
+    want = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
+    opt = AdamW(params, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.05)
+    arrays = [(p.data, opt.m[p.name], opt.v[p.name]) for p in params]
+    for t in range(1, 6):
+        lr = 1e-2 / t
+        for p in params:
+            p.grad = rng.standard_normal(p.shape).astype(dtype)
+        opt.step(lr)
+        want = [_textbook_adamw(*wmv, p.grad, lr, t, 0.9, 0.999, 1e-8, 0.05)
+                for wmv, p in zip(want, params)]
+        for p, (w, m, v), kept in zip(params, want, arrays):
+            got = (p.data, opt.m[p.name], opt.v[p.name])
+            assert all(a is b for a, b in zip(got, kept))
+            for a, b in zip(got, (w, m, v)):
+                np.testing.assert_array_equal(a, b)
+
+
 def test_adamw_nan_grad_names_parameter():
     p = _scalar_param(1.0)
     opt = AdamW([p])
@@ -161,6 +197,34 @@ def test_train_deterministic_same_seed():
         weights.append({p.name: p.data.copy() for p in model.parameters()})
     for name in weights[0]:
         np.testing.assert_array_equal(weights[0][name], weights[1][name])
+
+
+_FIT_WEIGHTS_SHA256 = """
+import hashlib
+from onebt.data import SynthSpec, generate_synthetic, loso_splits
+from onebt.harness import fit
+from onebt.model import ModelConfig
+from onebt.train import TrainConfig
+_, records = generate_synthetic(SynthSpec(n_subjects=3, samples_per_cell=2, seq_len=256), seed=7)
+train_idx, _ = loso_splits(records)[0]
+model = fit(records, train_idx, ModelConfig(seq_len=256), TrainConfig(epochs=2, batch_size=8))[0]
+h = hashlib.sha256()
+for p in model.parameters():
+    h.update(p.name.encode() + p.data.dtype.str.encode() + p.data.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_fold_weights_same_at_one_and_two_blas_threads():
+    """One fold fitted at paper widths, whose GEMMs are large enough for OpenBLAS
+    to split over threads, ends with the same weights (names, dtypes and bytes in
+    registration order) at 1 and at 2 threads, each in its own process."""
+    digests = [subprocess.run(
+        [sys.executable, "-c", _FIT_WEIGHTS_SHA256], capture_output=True, text=True, check=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=str(n),
+                 PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))).stdout
+        for n in (1, 2)]
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 def test_train_seed_changes_trajectory():
