@@ -1,16 +1,17 @@
-"""Checksummed binary container for model weights and train state.
+"""Checksummed binary container for model weights, train state and datasets,
+and the package's one binary parser, load_arrays.
 
 Layout v2, little-endian: magic `OBTC`, version u32, meta-JSON length u32 +
 bytes, array count u32, then per array {name length u16 + utf-8 name, item
-size u8 (4 or 8), ndim u8, extents u32 each, row-major float data}, then a
-sha256 of every byte before it. Magic and version are checked first, so a
-v1 file is refused by number; each length is checked before it is read.
+size u8 (1 for uint8, 4 or 8 for float), ndim u8, extents u32 each, row-major
+data}, then a sha256 of every byte before it. Magic and version are checked
+first, so a v1 file is refused by number; each length is checked before it is read.
 """
 
 import hashlib
-import io
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = ["CheckpointError", "save_arrays", "load_arrays", "save_model", "load_
 
 MAGIC = b"OBTC"
 VERSION = 2
+_KINDS = {1: "u1", 4: "<f4", 8: "<f8"}     # the stored dtype of each item size
 
 
 class CheckpointError(ValueError):
@@ -29,64 +31,76 @@ class CheckpointError(ValueError):
 
 
 def save_arrays(path, meta, arrays):
-    """Write JSON-able meta and {name: float32 or float64 array}, sealed, with
-    write_atomic: a failed write leaves `path` as it was."""
+    """Write JSON-able meta and {name: uint8, float32 or float64 array}, sealed,
+    with write_atomic: a failed write leaves `path` as it was."""
     blob = json.dumps(meta, sort_keys=True).encode()
     parts = [MAGIC, struct.pack("<II", VERSION, len(blob)), blob, struct.pack("<I", len(arrays))]
     for name, a in arrays.items():
         raw = name.encode()
         parts += [struct.pack(f"<H{len(raw)}sBB{a.ndim}I", len(raw), raw, a.itemsize, a.ndim, *a.shape),
-                  np.ascontiguousarray(a, dtype=f"<f{a.itemsize}").tobytes()]
-    body = b"".join(parts)
-    write_atomic(path, [body, hashlib.sha256(body).digest()])
+                  np.ascontiguousarray(a, dtype=_KINDS[a.itemsize])]
+    seal = hashlib.sha256()
+    for part in parts:
+        seal.update(part)
+    write_atomic(path, [*parts, seal.digest()])
 
 
-def _need(f, n, what):
-    left = f.getbuffer().nbytes - f.tell()
-    if n > left:
-        raise CheckpointError(f"truncated checkpoint: {what} needs {n} bytes at {f.tell()}, {left} left")
-    return f.read(n)
+class _Reader:
+    """Bounds-checked reads from the front of a file's bytes."""
+
+    def __init__(self, buf, error):
+        self.buf, self.off, self.error = memoryview(buf), 0, error
+
+    def take(self, n, what):
+        left = len(self.buf) - self.off
+        if n > left:
+            raise self.error(f"truncated: {what} needs {n} bytes at byte offset {self.off}, {left} left")
+        self.off += n
+        return self.buf[self.off - n:self.off]
+
+    def unpack(self, fmt, what):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
 
-def _unpack(f, fmt, what):
-    return struct.unpack(fmt, _need(f, struct.calcsize(fmt), what))
-
-
-def load_arrays(path):
-    """Inverse of save_arrays: (meta, {name: array}), each in its stored width."""
-    with open(path, "rb") as fh:
-        f = io.BytesIO(fh.read())
-    if _need(f, 4, "magic") != MAGIC:
-        raise CheckpointError(f"bad magic, not a checkpoint: {path}")
-    version, meta_len = _unpack(f, "<II", "version and meta length")
+def load_arrays(path, error=CheckpointError):
+    """Inverse of save_arrays: (meta, {name: array}), each in its stored width.
+    A uint8 array is a writable view of the file's bytes, not a copy. Every
+    fault in the file raises `error`."""
+    with open(path, "rb") as f:
+        buf = bytearray(os.fstat(f.fileno()).st_size)
+        del buf[f.readinto(buf):]
+    r = _Reader(buf, error)
+    if r.take(4, "magic") != MAGIC:
+        raise error(f"bad magic at byte offset 0, not a onebt container: {path}")
+    version, meta_len = r.unpack("<II", "header")
     if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    meta = _need(f, meta_len, "meta")
+        raise error(f"unsupported container version {version}")
+    meta = r.take(meta_len, "meta")
     arrays = {}
-    for _ in range(*_unpack(f, "<I", "array count")):
+    for _ in range(*r.unpack("<I", "array count")):
         try:
-            name = _need(f, *_unpack(f, "<H", "name length"), "name").decode()
+            name = bytes(r.take(*r.unpack("<H", "name length"), "name")).decode()
         except UnicodeDecodeError:
-            raise CheckpointError(f"name ending at offset {f.tell()} is not utf-8") from None
+            raise error(f"name ending at byte offset {r.off} is not utf-8") from None
         if name in arrays:
-            raise CheckpointError(f"duplicate parameter array {name!r} in checkpoint")
-        size, ndim = _unpack(f, "<BB", f"{name} item size and ndim")
-        shape = _unpack(f, f"<{ndim}I", f"{name} shape")
+            raise error(f"duplicate parameter array {name!r} in container")
+        size, ndim = r.unpack("<BB", f"{name} item size and ndim")
+        shape = r.unpack(f"<{ndim}I", f"{name} shape")
         # numpy 1 allows 32 axes, and no array whose nonzero extents overflow intp in bytes
-        if (size not in (4, 8) or ndim > 32
+        if (size not in _KINDS or ndim > 32
                 or size * math.prod(e or 1 for e in shape) > np.iinfo(np.intp).max):
-            raise CheckpointError(f"{name!r}: item size {size} and shape {shape} make no float array")
-        raw = _need(f, size * math.prod(shape), f"{name} data")
-        arrays[name] = np.frombuffer(raw, f"<f{size}").astype(f"f{size}").reshape(shape)
-    body = f.tell()
-    if _need(f, 32, "checksum") != hashlib.sha256(f.getbuffer()[:body]).digest():
-        raise CheckpointError("checksum mismatch: the file was altered after it was written")
-    if f.read():
-        raise CheckpointError(f"{f.tell() - body - 32} unexpected trailing bytes")
+            raise error(f"{name!r}: item size {size} and shape {shape} make no float array")
+        a = np.frombuffer(r.take(size * math.prod(shape), f"{name} data"), _KINDS[size])
+        arrays[name] = (a if size == 1 else a.astype(f"f{size}")).reshape(shape)
+    body = r.off
+    if r.take(32, "checksum") != hashlib.sha256(r.buf[:body]).digest():
+        raise error("checksum mismatch: the file was altered after it was written")
+    if r.off < len(buf):
+        raise error(f"{len(buf) - r.off} unexpected trailing bytes")
     try:
-        return json.loads(meta), arrays
+        return json.loads(bytes(meta)), arrays
     except ValueError as e:                  # bad JSON or bad utf-8
-        raise CheckpointError(f"malformed embedded config: {e}") from e
+        raise error(f"malformed embedded config: {e}") from e
 
 
 def save_model(model, path):

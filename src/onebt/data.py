@@ -1,21 +1,22 @@
-"""EEG windows: binary on-disk format, synthetic generation, LOSO splits.
+"""EEG windows: dataset files, synthetic generation, LOSO splits.
 
 A dataset is one numpy record array whose dtype, `record_dtype(L, C)`, is the
 file's sample layout: per window a subject id, task and difficulty label,
-then the [L, C] float32 signal. Splits are index arrays into it. The
-synthetic generator stands in for real recordings: band-limited sinusoids
-plus 1/f noise per channel, with the hard class adding extra power in a
-narrow band on a subset of channels.
+then the [L, C] float32 signal. Its file is the sealed container of
+checkpoint.save_arrays: the window length, channel names, sample rate and
+provenance as meta, and the records' bytes as one uint8 [n, 4 + 4·L·C]
+array. Splits are index arrays into it. The synthetic generator stands in
+for real recordings: band-limited sinusoids plus 1/f noise per channel, with
+the hard class adding extra power in a narrow band on a subset of channels.
 """
 
-import os
-import struct
 import warnings
 from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
 
+from .checkpoint import load_arrays, save_arrays
 from .tensor import check_field_types, write_atomic
 
 __all__ = [
@@ -24,9 +25,6 @@ __all__ = [
     "save_dataset", "load_dataset", "generate_synthetic",
     "loso_splits", "channel_stats", "normalize", "samples_to_arrays",
 ]
-
-MAGIC = b"OBT1"
-VERSION = 1
 
 EASY, HARD = 0, 1
 
@@ -90,25 +88,37 @@ def _build_manifest(records, sample_rate_hz, channel_names, provenance):
     )
 
 
-def _check_windows(records, offset=None, size=0):
-    """DataError for the first window with a non-finite signal or an
-    out-of-range tag, placed at `offset + i * size` when read from a file."""
+def _check_windows(records):
+    """DataError for the first window with a non-finite signal or an out-of-range tag."""
     finite = np.isfinite(records.signal).reshape(len(records), -1).all(axis=1)
     ok = finite & (records.task <= 2) & (records.label <= 1)
     if not ok.all():
         i = int(np.argmin(ok))
-        where = f"sample {i}" + ("" if offset is None else f" at byte offset {offset + i * size}")
         if not finite[i]:
-            raise DataError(f"{where} contains non-finite values")
-        raise DataError(f"{where} has task={records.task[i]} label={records.label[i]}, "
+            raise DataError(f"sample {i} contains non-finite values")
+        raise DataError(f"sample {i} has task={records.task[i]} label={records.label[i]}, "
                         f"expected task 0..2 and label 0..1")
 
 
+def _check_meta(meta):
+    """The record dtype a dataset's meta describes; DataError unless it holds a window
+    length and rate in SynthSpec's intervals, str channel names (one or more) and provenance."""
+    keys = ["channel_names", "provenance", "sample_rate_hz", "seq_len"]
+    if not isinstance(meta, dict) or sorted(meta) != keys:
+        raise DataError(f"not a dataset: its meta must hold exactly {keys}")
+    check_field_types(SynthSpec, {k: meta[k] for k in keys[2:]}, "the dataset", DataError)
+    names, provenance = meta["channel_names"], meta["provenance"]
+    if not (isinstance(names, list) and names and all(isinstance(v, str) for v in [*names, provenance])):
+        raise DataError(f"a dataset needs one or more str channel names and a str "
+                        f"provenance, got {names!r} and {provenance!r}")
+    return record_dtype(meta["seq_len"], len(names))
+
+
 # ---------------------------------------------------------------------------
-# binary format
+# dataset files
 
 def save_dataset(path, records, sample_rate_hz, channel_names, provenance=""):
-    """Write a record_dtype(L, C) array as the binary dataset, then a
+    """Write a record_dtype(L, C) array as a sealed container, then a
     human-readable manifest sidecar, each whole or not at all."""
     dt = getattr(records, "dtype", None)
     sig = (getattr(dt, "fields", None) or {}).get("signal")
@@ -118,26 +128,17 @@ def save_dataset(path, records, sample_rate_hz, channel_names, provenance=""):
     records = records.view(np.recarray)
     if len(records) == 0:
         raise DataError("cannot save an empty dataset")
-    L, C = shape
-    if len(channel_names) != C:
-        raise DataError(f"{len(channel_names)} channel names for {C} channels")
-    raw_names = []
-    for name in channel_names:
-        try:
-            raw_names.append(name.encode("ascii"))
-        except UnicodeEncodeError:
-            raise DataError(f"channel name {name!r} is not ASCII") from None
-        if len(raw_names[-1]) > 255:
-            raise DataError(f"channel name {name!r} is longer than 255 bytes")
     if isinstance(sample_rate_hz, np.integer):       # the config rule takes a plain int
         sample_rate_hz = int(sample_rate_hz)
-    check_field_types(SynthSpec, {"sample_rate_hz": sample_rate_hz}, "the dataset", DataError)
+    meta = {"seq_len": shape[0], "channel_names": list(channel_names),
+            "sample_rate_hz": sample_rate_hz, "provenance": provenance}
     # every check runs before the first write, so a bad window writes nothing
+    if _check_meta(meta) != dt:
+        raise DataError(f"{len(channel_names)} channel names for {shape[1]} channels")
     _check_windows(records)
     manifest = _build_manifest(records, sample_rate_hz, channel_names, provenance)
-    header = struct.pack("<6I", VERSION, len(records), L, C, sample_rate_hz, manifest.n_subjects)
-    write_atomic(path, [MAGIC, header, *(struct.pack("<B", len(raw)) + raw for raw in raw_names),
-                        records.tobytes()])
+    raw = np.ascontiguousarray(records).view(np.uint8).reshape(len(records), dt.itemsize)
+    save_arrays(path, meta, {"records": raw})
     write_atomic(f"{path}.manifest.txt", _sidecar_text(manifest).encode("utf-8"))
     return manifest
 
@@ -152,64 +153,19 @@ def _sidecar_text(m):
             f"provenance: {m.provenance}\n")
 
 
-def _need(buf, off, n, what):
-    """Offset just past the n bytes for `what` at `off`; DataError when the
-    file ends first."""
-    if len(buf) - off < n:
-        raise DataError(
-            f"truncated dataset: wanted {n} bytes for {what} at byte offset "
-            f"{off}, got {max(len(buf) - off, 0)}")
-    return off + n
-
-
 def load_dataset(path):
-    """Read a dataset file back; returns (manifest, records)."""
-    with open(path, "rb") as f:
-        buf = bytearray(os.fstat(f.fileno()).st_size)
-        del buf[f.readinto(buf):]
-    _need(buf, 0, 4, "magic")
-    if buf[:4] != MAGIC:
-        raise DataError(f"bad magic at byte offset 0, not a dataset file: {path}")
-    off = _need(buf, 4, 24, "header")
-    version, n, L, C, rate, n_subj = struct.unpack_from("<6I", buf, 4)
-    if version != VERSION:
-        raise DataError(f"unsupported dataset version {version} at byte offset 4")
-    if n == 0:
+    """Read a dataset file back: (manifest, records), the records a view of its bytes."""
+    meta, arrays = load_arrays(path, DataError)
+    dt = _check_meta(meta)
+    raw = arrays.get("records")
+    if set(arrays) != {"records"} or raw.dtype != np.uint8 or raw.shape[1:] != (dt.itemsize,):
+        raise DataError(f"not a dataset: it must hold one uint8 [n, {dt.itemsize}] array 'records'")
+    if len(raw) == 0:
         raise DataError("dataset holds no windows")
-    names = []
-    for i in range(C):
-        _need(buf, off, 1, f"channel {i} name length")
-        end = _need(buf, off + 1, buf[off], f"channel {i} name")
-        try:
-            names.append(buf[off + 1:end].decode("ascii"))
-        except UnicodeDecodeError:
-            raise DataError(f"channel {i} name at byte offset {off + 1} is not ASCII") from None
-        off = end
-    size = 4 + 4 * L * C
-    have = (len(buf) - off) // size
-    if have < n:
-        _need(buf, off + have * size, size, f"sample {have}")
-    if len(buf) > off + n * size:
-        raise DataError(f"{len(buf) - off - n * size} unexpected trailing bytes "
-                        f"at offset {off + n * size}")
-    records = np.frombuffer(buf, record_dtype(L, C), count=n, offset=off).view(np.recarray)
-    _check_windows(records, off, size)
-    found = len(np.unique(records.subject_id))
-    if found != n_subj:
-        raise DataError(f"header claims {n_subj} subjects, file has {found}")
-    manifest = _build_manifest(records, rate, names, _read_sidecar_provenance(path))
-    return manifest, records
-
-
-def _read_sidecar_provenance(path):
-    try:
-        with open(f"{path}.manifest.txt", encoding="utf-8") as f:
-            return next((line[len("provenance: "):].rstrip("\n")
-                         for line in f if line.startswith("provenance: ")), "")
-    except OSError:
-        return ""
-    except UnicodeDecodeError as e:
-        raise DataError(f"sidecar {path}.manifest.txt is not utf-8: {e}") from None
+    records = raw.view(dt)[:, 0].view(np.recarray)
+    _check_windows(records)
+    return _build_manifest(records, meta["sample_rate_hz"], meta["channel_names"],
+                           meta["provenance"]), records
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +182,7 @@ class SynthSpec:
     n_subjects: Annotated[int, "[1, 65535]"] = 11               # ids are stored as uint16
     samples_per_cell: Annotated[int, "[1, inf)"] = 12           # per (subject, task, level)
     seq_len: Annotated[int, "[2, inf)"] = 1280
-    sample_rate_hz: Annotated[int, "[1, 4294967295]"] = 128     # stored as uint32
+    sample_rate_hz: Annotated[int, "[1, 4294967295]"] = 128     # the documented --sample-rate range
     delta: Annotated[float, "[0, inf)"] = 1.0                   # class separation, 0 = no signal
     amplitude_scale: float = 2.0        # hard-class amplitude per unit delta, in base-sigma units
 

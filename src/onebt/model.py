@@ -216,7 +216,9 @@ class Attention:
         del q, k                    # with no graph, nothing else holds a released local's array
         probs = dropout(softmax_rows(scores), attn_dropout, training, rng)
         del scores
-        return self._merge(matmul(probs, self._split(self.v(kv_in))))
+        ctx = matmul(probs, self._split(self.v(kv_in)))
+        del probs
+        return self._merge(ctx)
 
     def _merge(self, ctx):
         # [..., h, m, hd] -> [..., m, h*hd] -> out_proj
@@ -271,8 +273,8 @@ class GatedFeedForward:
         self.down = Linear(reg, f"{name}.down", hidden, dim, use_bias=True)
 
     def __call__(self, t, ff_dropout=0.0, training=False, rng=None):
-        h = mul(self.main(t), gelu(self.gate(t)))
-        h = dropout(h, ff_dropout, training, rng)
+        g = gelu(self.gate(t))          # before main(t), so gate(t) is freed first
+        h = dropout(mul(self.main(t), g), ff_dropout, training, rng)
         return self.down(h)
 
 
@@ -313,6 +315,7 @@ class SelfBlock:
     def __call__(self, latents, cfg, training, rng):
         x = self.norm(latents)
         latents = add(self.attn(x, x, cfg.attn_dropout, training, rng), latents)
+        del x
         h = self.ff(self.norm_ff(latents), cfg.ff_dropout, training, rng)
         return add(h, latents)
 

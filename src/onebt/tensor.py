@@ -113,7 +113,7 @@ def check_field_types(cls, d, what, error=ConfigError):
 
 
 def write_atomic(path, data):
-    """Write bytes, or a list of byte chunks, to `<path>.tmp` and rename it over
+    """Write bytes, or a list of bytes-like chunks, to `<path>.tmp` and rename it over
     path: a write that fails leaves path as it was and no temp file. The one
     writer of every file the package makes."""
     tmp = f"{os.fspath(path)}.tmp"

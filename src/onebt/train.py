@@ -117,7 +117,9 @@ class AdamW:
 
 
 def _clip_grads(params, max_norm):
-    total = math.fsum(float((p.grad ** 2).sum()) for p in params if p.grad is not None)
+    # squares summed in float64: in float32, 1e5 finite entries of 1e17 overflow to inf
+    total = math.fsum(float(np.square(p.grad, dtype=np.float64).sum())
+                      for p in params if p.grad is not None)
     norm = math.sqrt(total)
     if norm > max_norm:
         s = max_norm / (norm + 1e-12)

@@ -8,7 +8,8 @@ import struct
 import numpy as np
 import pytest
 
-from onebt.checkpoint import CheckpointError, save_model, load_model
+from onebt.checkpoint import CheckpointError, load_arrays, save_arrays, save_model, load_model
+from onebt.data import SynthSpec, generate_synthetic, save_dataset
 from onebt.model import ModelConfig, init_parameters
 from onebt.train import TrainConfig, train
 from conftest import disk_full, killed_after, tiny_config
@@ -91,6 +92,33 @@ def test_expected_config_mismatch_rejected(tmp_path):
         load_model(tmp_path / "m.ckpt", expected_cfg=tiny_config(num_latents=3))
     # matching expected config loads fine
     load_model(tmp_path / "m.ckpt", expected_cfg=tiny_config())
+
+
+def test_arrays_round_trip_in_their_widths(tmp_path):
+    """uint8, float32 and float64 arrays come back bit for bit and writable; a
+    uint8 array is a view of the file's bytes, a float array its own copy."""
+    p = tmp_path / "a.bin"
+    arrays = {"u": np.arange(12, dtype=np.uint8).reshape(3, 4),
+              "f": np.linspace(-1, 1, 6, dtype=np.float32).reshape(2, 3),
+              "d": np.array([np.pi, -0.0])}
+    save_arrays(p, {"k": [1, "two"]}, arrays)
+    meta, loaded = load_arrays(p)
+    assert meta == {"k": [1, "two"]}
+    for name, a in arrays.items():
+        assert loaded[name].dtype == a.dtype and loaded[name].flags.writeable
+        np.testing.assert_array_equal(loaded[name], a)
+    owner = loaded["u"]
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert isinstance(owner, memoryview)        # the file's bytes
+    assert loaded["f"].base.flags.owndata
+
+
+def test_dataset_is_not_a_checkpoint(tmp_path):
+    manifest, records = generate_synthetic(SynthSpec(n_subjects=2, samples_per_cell=1, seq_len=16))
+    save_dataset(tmp_path / "d.eeg", records, manifest.sample_rate_hz, manifest.channel_names)
+    with pytest.raises(CheckpointError, match="malformed embedded config"):
+        load_model(tmp_path / "d.eeg")
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -8,7 +8,6 @@ import os
 import re
 import shutil
 import signal
-import struct
 import subprocess
 import sys
 import time
@@ -19,13 +18,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from onebt.checkpoint import load_model
+from onebt.checkpoint import load_arrays, load_model, save_arrays, save_model
 import onebt.cli
 import onebt.harness
 from onebt.cli import main, RunSpec, ERRORS
 from onebt.data import DataError, load_dataset
+from onebt.model import init_parameters
 from onebt.tensor import ConfigError, write_atomic
-from conftest import disk_full, killed_after
+from conftest import disk_full, killed_after, tiny_config
 from reference_tables import PUBLISHED
 
 EXIT_CODES = {category: code for category, (_, code) in ERRORS.items()}
@@ -340,15 +340,38 @@ def test_train_unknown_task_exits_data(dataset, tmp_path):
 
 
 def test_corrupt_channel_name_exits_data(dataset, tmp_path, capsys):
-    blob = bytearray(Path(dataset).read_bytes())
-    blob[29] = 0xFF                     # first byte of the first channel name
-    bad = tmp_path / "bad.eeg"
-    bad.write_bytes(bytes(blob))
-    out = tmp_path / "x"
-    rc = main(["train", "--config", _spec_file(tmp_path), "--data", str(bad),
-               "--out", str(out)])
-    assert rc == EXIT_CODES["data"]
-    assert "error[data]: channel 0 name" in capsys.readouterr().err
+    """The file is sealed: a flipped byte anywhere, in a channel name or
+    elsewhere, exits 4 with one line."""
+    blob = Path(dataset).read_bytes()
+    name = blob.index(b'"AF3"') + 1     # the first channel name, in the meta
+    value = len(blob) - 32 - 4          # the first byte of the last signal value
+    bad, out = tmp_path / "bad.eeg", tmp_path / "x"
+    for i in (0, 4, name, value, len(blob) - 1):
+        bad.write_bytes(blob[:i] + bytes([blob[i] ^ 0x10]) + blob[i + 1:])
+        rc = main(["train", "--config", _spec_file(tmp_path), "--data", str(bad),
+                   "--out", str(out)])
+        assert rc == EXIT_CODES["data"], i
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, match", [("checkpoint", "not a dataset"),
+                                         ("one_step", "seq_len must be in")])
+def test_sealed_file_no_model_reads_exits_data(dataset, tmp_path, capsys, kind, match):
+    """A sealed file that is not a dataset (a model checkpoint), or a dataset of
+    one-step windows, which no model can read, is a data error with one line."""
+    bad, out = tmp_path / "bad", tmp_path / "x"
+    if kind == "checkpoint":
+        save_model(init_parameters(tiny_config(), seed=0), bad)
+    else:
+        meta, arrays = load_arrays(dataset)
+        meta["seq_len"] = 1
+        records = np.zeros((len(arrays["records"]), 4 + 4 * len(meta["channel_names"])), np.uint8)
+        save_arrays(bad, meta, {"records": records})
+    assert main(["loso", "--data", str(bad), "--out", str(out)]) == EXIT_CODES["data"]
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[data]: {match}") and err.count("\n") == 1, err
     assert not out.exists()
 
 
@@ -469,27 +492,13 @@ def test_gen_data_bad_window_exits_data_before_generating(tmp_path, capsys, flag
 @pytest.mark.parametrize("command", ["train", "loso", "sweep"])
 def test_zero_window_dataset_exits_data(tmp_path, capsys, command):
     empty = tmp_path / "empty.eeg"
-    empty.write_bytes(b"OBT1" + struct.pack("<6I", 1, 0, 16, 1, 128, 0)
-                      + struct.pack("<B", 1) + b"A")
+    save_arrays(empty, {"seq_len": 16, "channel_names": ["A"], "sample_rate_hz": 128,
+                        "provenance": ""}, {"records": np.zeros((0, 4 + 4 * 16), np.uint8)})
     out = tmp_path / "out"
     rc = main([command, "--data", str(empty), "--out", str(out)])
     assert rc == EXIT_CODES["data"]
     err = capsys.readouterr().err
     assert err == "error[data]: dataset holds no windows\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["train", "loso", "sweep"])
-def test_sidecar_not_utf8_exits_data(dataset, tmp_path, capsys, command):
-    data = tmp_path / "d.eeg"
-    data.write_bytes(Path(dataset).read_bytes())
-    sidecar = tmp_path / "d.eeg.manifest.txt"
-    sidecar.write_bytes(b"samples: 36\nprovenance: \xff\n")
-    out = tmp_path / "out"
-    rc = main([command, "--config", _spec_file(tmp_path), "--data", str(data),
-               "--out", str(out)])
-    assert rc == EXIT_CODES["data"]
-    assert capsys.readouterr().err.startswith(f"error[data]: sidecar {sidecar} is not utf-8")
     assert not out.exists()
 
 

@@ -1,5 +1,5 @@
-"""Dataset module: binary format round-trips, generator properties, LOSO
-splitting, and leakage-proof normalization through harness.fit."""
+"""Dataset module: dataset file round-trips and refusals, generator
+properties, LOSO splitting, and leakage-proof normalization through harness.fit."""
 
 import struct
 import warnings
@@ -8,6 +8,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from onebt.checkpoint import load_arrays, save_arrays
 from onebt.data import (DataError, SynthSpec, Task, EASY, HARD, record_dtype,
                         DEFAULT_CHANNELS, generate_synthetic, save_dataset,
                         load_dataset, loso_splits, channel_stats, normalize,
@@ -128,7 +129,7 @@ def test_spec_is_frozen_and_replace_rechecks():
 
 
 # ---------------------------------------------------------------------------
-# binary format
+# dataset files
 
 def test_save_load_round_trip_bitwise(tmp_path, small_set):
     manifest, samples = small_set
@@ -149,6 +150,9 @@ def test_save_load_round_trip_bitwise(tmp_path, small_set):
     assert (tmp_path / "plain.eeg").read_bytes() == p.read_bytes()
     assert ((tmp_path / "plain.eeg.manifest.txt").read_bytes()
             == (tmp_path / "d.eeg.manifest.txt").read_bytes())
+    # the sidecar is for people: the file's sealed meta alone is read back
+    (tmp_path / "d.eeg.manifest.txt").write_bytes(b"provenance: \xff\n")
+    assert load_dataset(p)[0] == manifest
 
 
 def test_truncated_file_reports_offset(tmp_path, small_set):
@@ -187,7 +191,7 @@ def test_nonfinite_signal_rejected_on_save(tmp_path, small_set):
 
 @pytest.mark.parametrize("case", ["task", "label", "wrong_dtype", "plain_array", "nan",
                                   "float32_overflow", "channel_name", "sample_rate",
-                                  "sample_rate_bool"])
+                                  "sample_rate_bool", "one_step", "no_channel"])
 def test_bad_late_sample_leaves_no_file(tmp_path, small_set, case):
     """Every window is checked before the file is opened: a bad one anywhere
     raises DataError and writes neither the dataset nor its sidecar."""
@@ -196,10 +200,14 @@ def test_bad_late_sample_leaves_no_file(tmp_path, small_set, case):
     names, rate = manifest.channel_names, manifest.sample_rate_hz
     if case == "sample_rate":
         rate = -1
-    elif case == "sample_rate_bool":    # a bool is an int to Python; the header would store 1
+    elif case == "sample_rate_bool":    # a bool is an int to Python; the file would store true
         rate = True
-    elif case == "channel_name":
-        names = ("Fp\u00e9",) + names[1:]
+    elif case == "channel_name":         # the file's meta holds only str names
+        names = (1,) + names[1:]
+    elif case in ("one_step", "no_channel"):     # windows no model can read
+        L, C = (1, 2) if case == "one_step" else (32, 0)
+        bad = np.zeros(len(samples), record_dtype(L, C))
+        names = names[:C]
     elif case == "task":
         bad.task[-1] = 3
     elif case == "label":
@@ -222,34 +230,52 @@ def test_bad_late_sample_leaves_no_file(tmp_path, small_set, case):
 
 @pytest.mark.parametrize("case, match", [
     ("empty", "empty dataset"), ("name_count", "13 channel names for 14 channels"),
-    ("long_name", "longer than 255 bytes"),
 ])
 def test_save_rejects_empty_set_and_bad_names(tmp_path, small_set, case, match):
     manifest, samples = small_set
     names = manifest.channel_names
     if case == "empty":
         samples = samples[:0]
-    elif case == "name_count":
-        names = names[1:]
     else:
-        names = ("X" * 256,) + names[1:]
+        names = names[1:]
     with pytest.raises(DataError, match=match):
         save_dataset(tmp_path / "bad.eeg", samples, manifest.sample_rate_hz, names)
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("field, value, match", [
-    (0, 2, "unsupported dataset version 2"), (1, 0, "holds no windows"),
-    (5, 4, "header claims 4 subjects, file has 3"),
-])
-def test_load_rejects_bad_header_field(tmp_path, small_set, field, value, match):
-    """One u32 of the header (version, n, L, C, rate, subjects) rewritten."""
+def _reseal(p, edit):
+    """Rewrite dataset p with save_arrays after edit(meta, arrays) changed what
+    it holds: the file is sealed, so only load_dataset's own checks can refuse it."""
+    meta, arrays = load_arrays(p)
+    edit(meta, arrays)
+    save_arrays(p, meta, arrays)
+
+
+def _narrow(meta, arrays, L, names):
+    meta.update(seq_len=L, channel_names=names)
+    arrays["records"] = np.zeros((4, 4 + 4 * L * len(names)), np.uint8)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (None, "unsupported container version 3"),
+    (lambda meta, arrays: arrays.update(records=arrays["records"][:0]), "holds no windows"),
+    (lambda meta, arrays: arrays.update(records=arrays["records"][:, 1:]), "not a dataset"),
+    (lambda meta, arrays: meta.pop("provenance"), "not a dataset"),
+    (lambda meta, arrays: _narrow(meta, arrays, 1, ["A", "B"]), "seq_len must be in"),
+    (lambda meta, arrays: _narrow(meta, arrays, 32, []), "one or more"),
+], ids=["version", "no_windows", "record_width", "no_provenance", "seq_len", "no_channels"])
+def test_load_rejects_bad_header_field(tmp_path, small_set, edit, match):
+    """The container version rewritten, or a sealed file whose meta or records
+    array no dataset has."""
     manifest, samples = small_set
     p = tmp_path / "d.eeg"
     save_dataset(p, samples, manifest.sample_rate_hz, manifest.channel_names)
-    blob = bytearray(p.read_bytes())
-    struct.pack_into("<I", blob, 4 + 4 * field, value)
-    p.write_bytes(bytes(blob))
+    if edit is None:
+        blob = bytearray(p.read_bytes())
+        struct.pack_into("<I", blob, 4, 3)
+        p.write_bytes(bytes(blob))
+    else:
+        _reseal(p, edit)
     with pytest.raises(DataError, match=match):
         load_dataset(p)
 
@@ -258,13 +284,9 @@ def test_nonfinite_signal_rejected_on_load(tmp_path, small_set):
     manifest, samples = small_set
     p = tmp_path / "d.eeg"
     save_dataset(p, samples[:4], manifest.sample_rate_hz, manifest.channel_names)
-    blob = bytearray(p.read_bytes())
-    # first sample payload starts after magic+header+names and sample header
-    name_block = sum(1 + len(n) for n in manifest.channel_names)
-    off = 4 + 24 + name_block + 4
-    blob[off:off + 4] = np.array([np.inf], dtype="<f4").tobytes()
-    p.write_bytes(bytes(blob))
-    with pytest.raises(DataError, match="non-finite"):
+    # the first signal value of the first window, after its 4-byte tag
+    _reseal(p, lambda meta, arrays: arrays["records"][0, 4:8].view("<f4").fill(np.inf))
+    with pytest.raises(DataError, match="sample 0 contains non-finite"):
         load_dataset(p)
 
 

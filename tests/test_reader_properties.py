@@ -1,6 +1,6 @@
-"""Property tests for the three binary readers: a truncated, bit-flipped or
-extended file makes each reader raise its own error, never another one (a
-dataset file may also still load)."""
+"""Property tests for the three kinds of sealed file: a truncated, bit-flipped
+or extended model checkpoint, train state or dataset makes its reader raise
+its own error, never another one, and never loads."""
 
 import numpy as np
 import pytest
@@ -70,12 +70,9 @@ def test_corrupt_train_state_raises_checkpoint_error(good, bad_file, data):
               state_path=bad_file)
 
 
-# a flipped label can unbalance the set, which load_dataset warns about and loads
-@pytest.mark.filterwarnings("ignore:dataset is not balanced:UserWarning")
 @given(data=st.data())
 def test_corrupt_dataset_raises_data_error_or_loads(good, bad_file, data):
+    """The dataset is sealed, so no corruption loads: each raises DataError."""
     bad_file.write_bytes(data.draw(corruptions((good / "data.eeg").read_bytes())))
-    try:
+    with pytest.raises(DataError):
         load_dataset(bad_file)
-    except DataError:
-        pass

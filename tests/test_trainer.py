@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from onebt.checkpoint import CheckpointError, load_arrays, save_arrays
 from onebt.data import DataError
 from onebt.model import init_parameters
 from onebt.tensor import Parameter, ConfigError, NumericError
-from onebt.train import TrainConfig, AdamW, cosine_lr, train, _data_sha256
+from onebt.train import TrainConfig, AdamW, cosine_lr, train, _clip_grads, _data_sha256
 from conftest import killed_after, tiny_config
 
 
@@ -496,6 +497,18 @@ def test_grad_clip_off_is_identity_and_on_caps_norm():
     train(c, X, y, quick_cfg(epochs=2, grad_clip=1e-6))  # always binds
     assert any(not np.array_equal(pa.data, pc.data)
                for pa, pc in zip(a.parameters(), c.parameters()))
+
+
+def test_grad_clip_scales_a_norm_past_float32_range():
+    """Each entry is finite, but the squares of 100,000 entries of 1e17 sum past
+    float32's range: the clipped gradient is scaled to max_norm, not zeroed."""
+    p = Parameter("w", np.zeros(100_000, np.float32))
+    p.grad = np.full(100_000, 1e17, np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _clip_grads([p], 2.0)
+    assert p.grad.dtype == np.float32
+    assert np.linalg.norm(p.grad.astype(np.float64)) == pytest.approx(2.0, rel=1e-6)
 
 
 def test_augmentations_off_by_default_and_change_training():
