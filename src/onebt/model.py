@@ -362,19 +362,49 @@ class OneBlockTransformer:
 
         x is a window array, never a Tensor, and never becomes tokens: the cross
         block reads it with the shared position features. An eval forward keeps no
-        graph; a backward through its logits runs it again with one (tensor._replayed).
+        graph, and runs a batch as the fewest chunks, of sizes that differ by at most
+        one window, whose widest op (eval_live_bytes) fits in EVAL_CHUNK_BYTES; a
+        window wider than that is a chunk of its own. A backward through its logits
+        runs each chunk again with a graph, one chunk at a time (tensor._replayed).
         """
         cfg, lat = self.cfg, self.latents
-        x = _check_window(x, cfg, "forward").astype(lat.dtype, copy=False)
+        x = _check_window(x, cfg, "forward")
         pos = _position_features(cfg.seq_len, cfg.num_freq_bands, cfg.max_freq, lat.dtype)
 
-        def run():
-            h = self.cross(lat, x, cfg, training, rng, pos)
+        def run(windows):
+            h = self.cross(lat, windows.astype(lat.dtype, copy=False), cfg, training, rng, pos)
             for block in self.blocks:
                 h = block(h, cfg, training, rng)
             return self.head(mean_axis(self.final_norm(h), -2))
 
-        return run() if training else _replayed(run)
+        if training:
+            return run(x)
+        spans = [slice(None)] if x.ndim == 2 else _eval_chunks(cfg, len(x), lat.dtype.itemsize)
+        return _replayed([functools.partial(run, x[s]) for s in spans])
+
+
+# the widest op of one chunk of an eval forward's batch fits in this many bytes
+EVAL_CHUNK_BYTES = 8 << 20
+
+
+def eval_live_bytes(cfg, batch, itemsize):
+    """Bytes of the widest op's live set in a graph-free forward of batch windows, in
+    closed form: the largest of the cross-attention's scores plus its transposed
+    window, B·h·m·n + B·(C + 2)·n; three feed-forward hidden arrays, 3·B·m·ff·d; and
+    three [B, m, h·hd] self-attention arrays plus one [B, h, m, m] score array."""
+    m, n, d = cfg.num_latents, cfg.seq_len, cfg.latent_dim
+    per_window = max(cfg.cross_heads * m * n + (cfg.input_channels + 2) * n,
+                     3 * m * cfg.ff_mult * d,
+                     3 * m * cfg.self_heads * cfg.self_head_dim + cfg.self_heads * m * m)
+    return batch * per_window * itemsize
+
+
+def _eval_chunks(cfg, batch, itemsize):
+    """Slices of the fewest chunks of batch windows, sizes differing by at most one,
+    whose eval_live_bytes fit in EVAL_CHUNK_BYTES (at least one window a chunk)."""
+    most = max(1, EVAL_CHUNK_BYTES // eval_live_bytes(cfg, 1, itemsize))
+    k = max(1, -(-batch // most))
+    return [slice(batch * i // k, batch * (i + 1) // k) for i in range(k)]
 
 
 def init_parameters(cfg, seed=0, dtype=np.float32):

@@ -722,26 +722,32 @@ def _backward_from(root, seed):
                 local[id(inp)] = gi
 
 
-def _replayed(fn):
-    """fn() run with no graph, as a Tensor whose node has no inputs. Its backward
-    runs fn() again with the graph and passes the gradient on through that, so
-    only a backward holds the graph; the second run must give the first's output
-    bit for bit, or a weight or an input has changed in between. The flag is the
-    process's: an op another thread runs meanwhile records no graph either."""
+def _replayed(fns):
+    """The outputs of fns, each run with no graph, joined along axis 0 as a Tensor
+    whose node has no inputs. Its backward runs each fn again with the graph, one
+    at a time, and passes that output's rows of the gradient on through it, so only
+    a backward holds a graph, and one fn's at most. Each second run must give the
+    first's output bit for bit, or a weight or an input has changed in between: the
+    RuntimeError leaves the gradients of the fns before it accumulated. The flag is
+    the process's: an op another thread runs meanwhile records no graph either."""
     global _graph
     graph, _graph = _graph, False
     try:
-        saved = fn().data
+        saved = [fn().data for fn in fns]
     finally:
         _graph = graph
 
     def bwd(g):
-        y2 = fn()
-        if (y2.dtype, y2.shape, y2.data.tobytes()) != (saved.dtype, saved.shape, saved.tobytes()):
-            raise RuntimeError("backward: the forward's weights or input changed after it ran")
-        _backward_from(y2, g)
+        lo = 0
+        for fn, y in zip(fns, saved):
+            y2 = fn()
+            if (y2.dtype, y2.shape, y2.data.tobytes()) != (y.dtype, y.shape, y.tobytes()):
+                raise RuntimeError("backward: the forward's weights or input changed after it ran")
+            _backward_from(y2, g[lo:lo + len(y)])
+            lo += len(y)
+            del y2                  # this fn's graph, before the next one's is built
         return ()
 
-    out = Tensor(saved, requires_grad=True)
+    out = Tensor(np.concatenate(saved), requires_grad=True)
     out.node = _Node((), bwd)
     return out

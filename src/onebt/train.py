@@ -149,12 +149,15 @@ def _rng_streams(seed):
 
 
 def evaluate_confusion(model, X, y):
-    """Confusion matrix (rows = true, cols = predicted) of eval-mode
-    predictions over X, in batches of 64."""
-    pred = np.concatenate([
-        np.argmax(model.forward(X[i:i + 64], training=False).data, axis=-1)
-        for i in range(0, len(X), 64)])
-    return confusion_matrix(y, pred, model.cfg.num_classes)
+    """Confusion matrix (rows = true, cols = predicted) of eval-mode predictions
+    over X, from one forward, which bounds its own memory. An overflow or an
+    invalid value on the way raises NumericError."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            logits = model.forward(X, training=False)
+    except FloatingPointError as e:
+        raise NumericError(f"eval forward: {e}") from e
+    return confusion_matrix(y, np.argmax(logits.data, axis=-1), model.cfg.num_classes)
 
 
 def train(model, X, y, cfg, state_path=None):
@@ -200,13 +203,18 @@ def train(model, X, y, cfg, state_path=None):
             if augmenting:
                 xb = _augment(xb, cfg, aug_rng)
             lr = cosine_lr(step, denom, cfg.lr, cfg.min_lr)
-            logits = model.forward(xb, training=True, rng=dropout_rng)
-            loss = cross_entropy_label_smoothed(logits, yb, cfg.label_smoothing)
-            model.zero_grad()
-            backward(loss)
-            if cfg.grad_clip is not None:
-                _clip_grads(model.parameters(), cfg.grad_clip)
-            opt.step(lr)
+            try:    # finite but huge weights overflow here, before any weight is inf
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    logits = model.forward(xb, training=True, rng=dropout_rng)
+                    loss = cross_entropy_label_smoothed(logits, yb, cfg.label_smoothing)
+                    model.zero_grad()
+                    backward(loss)
+                    if cfg.grad_clip is not None:
+                        _clip_grads(model.parameters(), cfg.grad_clip)
+                    opt.step(lr)
+            except FloatingPointError as e:
+                raise NumericError(f"training diverged in epoch {epoch}, step {step + 1}: "
+                                   f"{e}") from e
             epoch_loss += float(loss.data) * len(idx)
             epoch_hits += int((np.argmax(logits.data, axis=-1) == yb).sum())
             step += 1

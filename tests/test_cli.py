@@ -231,6 +231,23 @@ def test_diverged_training_exits_numeric_without_out_dir(dataset, tmp_path, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "loso"])
+def test_finite_but_huge_weights_exit_numeric_in_one_line(dataset, tmp_path, command):
+    """A learning rate that leaves the weights finite but huge overflows in the next
+    forward (train's second step, loso's eval of a one-step fold), and exits 6 with
+    one error[numeric] line and no numpy warning before it, and no --out."""
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps({"train": {"lr": 1e30}}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--data", dataset, "--epochs", "1",
+            "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "onebt.cli", *argv], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == EXIT_CODES["numeric"] == 6, proc.stderr
+    assert proc.stderr.startswith("error[numeric]: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not out.exists()
+
+
 def test_keyboard_interrupt_exits_interrupted_without_new_out_dir(dataset, tmp_path, capsys,
                                                                   monkeypatch):
     """An interrupt while training exits 130 with one error[interrupted] line

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from onebt.cost import TABLE_PRESETS
+import onebt.model
 from onebt.model import (ModelConfig, Attention, LatentCrossAttention,
                          frequency_bands, position_grid, fourier_encode,
-                         tokenize, init_parameters, _position_features)
+                         tokenize, init_parameters, eval_live_bytes, _eval_chunks,
+                         _position_features)
 from onebt.tensor import (Tensor, ShapeError, ConfigError, backward, mean_axis, reshape, add,
-                          cross_entropy_label_smoothed)
+                          cross_entropy_label_smoothed, _backward_from)
 from conftest import tiny_config, rel_err, fd_grad
 from test_tensor_ops import grad_of, TOL, _graph_tensors
 
@@ -648,29 +650,159 @@ def test_eval_forward_keeps_no_graph(rng):
 def test_eval_forward_peaks_at_its_widest_op(rng):
     """A graph-free forward holds only what its output still needs, so its traced
     peak is the widest op's live set in closed form plus a stated margin. The
-    live sets: the cross-attention's scores and transposed window,
-    B·h·m·n + B·(C + 2)·n; three feed-forward hidden arrays (the gate's output
-    is freed before the main branch runs, so gelu's block-sized buffers sit
-    beside only two); and three [B, m, h·hd] self-attention arrays plus one
+    live sets (eval_live_bytes): the cross-attention's scores and transposed
+    window, B·h·m·n + B·(C + 2)·n; three feed-forward hidden arrays (the gate's
+    output is freed before the main branch runs, so gelu's block-sized buffers
+    sit beside only two); and three [B, m, h·hd] self-attention arrays plus one
     score array [B, h, m, m], the widest at table1 blocks=2 widths, seq_len 256
-    and batch 16. The margin is two [B, m, d] arrays: the residual stream and
-    the block's norm output, which its attention reads."""
-    cfg = replace(dict(TABLE_PRESETS["table1"])["blocks=2"], seq_len=256)
-    B, m, d, n, C = 16, cfg.num_latents, cfg.latent_dim, cfg.seq_len, cfg.input_channels
-    model = init_parameters(cfg, seed=2)
-    x = rng.standard_normal((B, n, C)).astype(np.float32)
-    model.forward(x)                # position features cached, as in any later call
+    and batch 16, one chunk. The margin is two [B, m, d] arrays: the residual
+    stream and the block's norm output, which its attention reads."""
+    cfg = _blocks2_config()
+    B = 16
+    assert len(_eval_chunks(cfg, B, 4)) == 1
+    peak = _traced_eval_peak(init_parameters(cfg, seed=2), _windows(rng, cfg, B))
+    assert peak <= _chunk_bound(cfg, B), f"peak {peak} bytes, bound {_chunk_bound(cfg, B)}"
+
+
+def _blocks2_config():
+    return replace(dict(TABLE_PRESETS["table1"])["blocks=2"], seq_len=256)
+
+
+def _windows(rng, cfg, B, dtype=np.float32):
+    return rng.standard_normal((B, cfg.seq_len, cfg.input_channels)).astype(dtype)
+
+
+def _traced_eval_peak(model, x):
+    """The tracemalloc peak of one eval forward over x, above its start."""
+    model.forward(x[:1])            # position features cached, as in any later call
     tracemalloc.start()
     try:
         model.forward(x)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    widest = max(B * cfg.cross_heads * m * n + B * (C + 2) * n,
-                 3 * B * m * cfg.ff_mult * d,
-                 3 * B * m * cfg.self_heads * cfg.self_head_dim + B * cfg.self_heads * m * m)
-    margin = 2 * B * m * d
-    assert peak <= 4 * (widest + margin), f"peak {peak} bytes, bound {4 * (widest + margin)}"
+
+
+def _chunk_bound(cfg, B):
+    """The widest op's live set of a forward of B float32 windows, plus a margin of
+    two [B, m, d] arrays."""
+    return eval_live_bytes(cfg, B, 4) + 4 * 2 * B * cfg.num_latents * cfg.latent_dim
+
+
+@pytest.mark.parametrize("B", [1, 2, 35, 36, 37, 64, 72, 80, 200, 1000])
+@pytest.mark.parametrize("cfg", [ModelConfig(), _blocks2_config(),
+                                 dict(TABLE_PRESETS["table1"])["blocks=8"],
+                                 ModelConfig(num_latents=2048)],
+                         ids=["paper", "table1_blocks2_L256", "table1_blocks8", "wide"])
+def test_eval_chunks_are_the_fewest_that_fit_and_differ_by_one(cfg, B):
+    """An eval batch runs as consecutive chunks that cover it, each at most
+    EVAL_CHUNK_BYTES by eval_live_bytes (or one window, when one window is wider),
+    with sizes that differ by at most one, and one chunk fewer would not fit."""
+    spans = _eval_chunks(cfg, B, 4)
+    sizes = [s.stop - s.start for s in spans]
+    assert [s.start for s in spans] == [0] + [s.stop for s in spans[:-1]]
+    assert spans[-1].stop == B and min(sizes) >= 1
+    assert max(sizes) - min(sizes) <= 1
+    assert all(eval_live_bytes(cfg, n, 4) <= onebt.model.EVAL_CHUNK_BYTES or n == 1
+               for n in sizes)
+    fewer = len(spans) - 1
+    assert fewer == 0 or eval_live_bytes(cfg, -(-B // fewer), 4) > onebt.model.EVAL_CHUNK_BYTES
+
+
+def test_eval_chunks_of_paper_and_table1_batches():
+    """Both the paper default and table1 blocks=8 run a batch of 64 as 32 + 32; a
+    held-out subject of 72 windows runs as 36 + 36."""
+    table1 = dict(TABLE_PRESETS["table1"])["blocks=8"]
+    assert eval_live_bytes(table1, 1, 4) == 240 * 1024
+    for cfg in (ModelConfig(), table1):
+        assert _eval_chunks(cfg, 64, 4) == [slice(0, 32), slice(32, 64)]
+    assert _eval_chunks(ModelConfig(), 72, 4) == [slice(0, 36), slice(36, 72)]
+
+
+def test_chunked_eval_forward_matches_separate_forwards(rng):
+    """A batch of three uneven chunks gives the logits of one forward per chunk,
+    byte for byte."""
+    cfg = _blocks2_config()
+    spans = _eval_chunks(cfg, 80, 4)
+    assert [s.stop - s.start for s in spans] == [26, 27, 27]
+    model = init_parameters(cfg, seed=2)
+    x = _windows(rng, cfg, 80)
+    logits = model.forward(x).data
+    parts = np.concatenate([model.forward(x[s]).data for s in spans])
+    assert logits.tobytes() == parts.tobytes()
+
+
+@pytest.mark.parametrize("B", [80, 200])
+def test_chunked_eval_forward_peaks_within_one_chunk(rng, B):
+    """However large the batch, the traced peak of its eval forward stays within the
+    bound of its largest chunk, which is below the bound of the unchunked batch."""
+    cfg = _blocks2_config()
+    widest = max(s.stop - s.start for s in _eval_chunks(cfg, B, 4))
+    assert widest < B
+    peak = _traced_eval_peak(init_parameters(cfg, seed=2), _windows(rng, cfg, B))
+    bound = _chunk_bound(cfg, widest)
+    assert peak <= bound, f"peak {peak} bytes, bound {bound}"
+
+
+def _chunked_replay_model(monkeypatch, dtype):
+    """A _replay_config model whose eval forward runs 8 windows as 2 + 3 + 3 chunks."""
+    cfg = _replay_config()
+    monkeypatch.setattr(onebt.model, "EVAL_CHUNK_BYTES",
+                        eval_live_bytes(cfg, 3, np.dtype(dtype).itemsize))
+    assert [s.stop - s.start for s in _eval_chunks(cfg, 8, np.dtype(dtype).itemsize)] == [2, 3, 3]
+    return init_parameters(cfg, seed=2, dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_through_chunked_eval_forward_sums_chunk_gradients(rng, monkeypatch, dtype):
+    """A backward through a chunked eval forward gives each parameter the per-chunk
+    graph-path gradients, summed in chunk order, bit for bit."""
+    model = _chunked_replay_model(monkeypatch, dtype)
+    x = _windows(rng, model.cfg, 8, dtype)
+    seed = rng.standard_normal((8, model.cfg.num_classes)).astype(dtype)
+    logits = model.forward(x)
+    _backward_from(logits, seed)
+    chunked = [p.grad for p in model.parameters()]
+    model.zero_grad()
+    for s in _eval_chunks(model.cfg, 8, np.dtype(dtype).itemsize):
+        _backward_from(model.forward(x[s], training=True), seed[s])
+    assert all(g is not None for g in chunked)
+    for a, p in zip(chunked, model.parameters(), strict=True):
+        np.testing.assert_array_equal(a, p.grad)
+
+
+def test_backward_through_chunked_eval_forward_holds_one_chunk_graph(rng, monkeypatch):
+    """A backward through an eval forward of six chunks replays them one at a time,
+    so its traced peak stays within a quarter more than that of a backward through
+    one chunk; two chunks' graphs at once would take ~1.6 times as much."""
+    cfg = _replay_config()
+    monkeypatch.setattr(onebt.model, "EVAL_CHUNK_BYTES", eval_live_bytes(cfg, 8, 4))
+    model = init_parameters(cfg, seed=2)
+    x = _windows(rng, cfg, 48)
+    peaks = []
+    for B in (8, 48):
+        assert len(_eval_chunks(cfg, B, 4)) == B // 8
+        loss = cross_entropy_label_smoothed(model.forward(x[:B]), np.arange(B) % 2, 0.1)
+        model.zero_grad()
+        tracemalloc.start()
+        try:
+            backward(loss)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], f"peak {peaks[1]} bytes, one chunk's {peaks[0]}"
+
+
+@pytest.mark.parametrize("changed", ["weight", "last_chunk_input"])
+def test_backward_after_chunked_forward_inputs_change_raises(rng, monkeypatch, changed):
+    """A weight, or a window of the last chunk, changed in place between a chunked
+    eval forward and a backward through it raises."""
+    model = _chunked_replay_model(monkeypatch, np.float64)
+    x = _windows(rng, model.cfg, 8, np.float64)
+    logits = model.forward(x)
+    (model.param("self.0.ff.gate.weight").data if changed == "weight" else x[-1])[0, 0] += 1e-5
+    with pytest.raises(RuntimeError, match="changed"):
+        backward(cross_entropy_label_smoothed(logits, np.arange(8) % 2, 0.1))
 
 
 @pytest.mark.parametrize("changed", ["weight", "input"])

@@ -17,7 +17,8 @@ from onebt.checkpoint import CheckpointError, load_arrays, save_arrays
 from onebt.data import DataError
 from onebt.model import init_parameters
 from onebt.tensor import Parameter, ConfigError, NumericError
-from onebt.train import TrainConfig, AdamW, cosine_lr, train, _clip_grads, _data_sha256
+from onebt.train import (TrainConfig, AdamW, cosine_lr, train, evaluate_confusion, _clip_grads,
+                        _data_sha256)
 from conftest import killed_after, tiny_config
 
 
@@ -187,6 +188,19 @@ def quick_cfg(**kw):
                 label_smoothing=0.1, seed=0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def test_finite_but_huge_weights_raise_numeric_naming_the_step():
+    """Weights that one update leaves finite but huge overflow in the next step's
+    forward; that raises NumericError naming the epoch and step, with no numpy
+    warning first, and an eval forward through them raises NumericError too."""
+    X, y = _toy_data()
+    model = init_parameters(tiny_config(), seed=5)
+    with pytest.raises(NumericError, match=r"epoch 0, step 2: overflow"):
+        train(model, X, y, quick_cfg(lr=1e30))
+    assert all(np.isfinite(p.data).all() for p in model.parameters())
+    with pytest.raises(NumericError, match="eval forward: overflow"):
+        evaluate_confusion(model, X, y)
 
 
 def test_train_deterministic_same_seed():

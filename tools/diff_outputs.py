@@ -6,8 +6,9 @@ OTHER_SRC is the `src` directory of another checkout (say, the parent commit
 from `git archive`). Each side runs gen-data, train, loso and sweep (each at
 --jobs 1 and 2) and cost with the same arguments and relative paths, in its own
 directory under WORK_DIR (a new temporary directory by default). Each side
-also runs two loso commands that must fail: one refused before it starts and
-one that diverges after its --out is made. Prints each differing file, with
+also runs three loso commands that must fail: one refused before it starts,
+one whose weights overflow after its --out is made, and one whose weights stay
+finite but overflow the forward after them. Prints each differing file, with
 the largest absolute difference among the numeric fields of a .json or .jsonl
 file present on both sides, and each failing run whose exit code, stderr or
 leftover --out differs; exits 1 if anything differs.
@@ -40,6 +41,7 @@ COMMANDS = [
 FAILING = [        # the last argument of each is its --out
     ["loso", "--data", "d.eeg", "--config", "spec.json", "--jobs", "0", "--out", "refused"],
     ["loso", "--data", "d.eeg", "--config", "diverge.json", "--out", "diverged"],
+    ["loso", "--data", "d.eeg", "--config", "huge.json", "--out", "huge"],
 ]
 
 
@@ -47,6 +49,7 @@ def run_side(src, cwd):
     cwd.mkdir(parents=True)
     (cwd / "spec.json").write_text(json.dumps(SPEC))
     (cwd / "diverge.json").write_text(json.dumps({"train": {"lr": 1e300}}))
+    (cwd / "huge.json").write_text(json.dumps({"train": {"lr": 1e30}}))
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     for argv in COMMANDS:
         subprocess.run([sys.executable, "-m", "onebt.cli", *argv], cwd=cwd, env=env,
