@@ -7,7 +7,6 @@ driver can run them in worker processes; results are merged by fold id, so
 the jobs count never changes the numbers.
 """
 
-import ctypes
 import multiprocessing
 import os
 import signal
@@ -16,9 +15,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .data import Task, channel_stats, loso_splits, normalize, samples_to_arrays
+from .data import DataError, Task, channel_stats, loso_splits, normalize, samples_to_arrays
 from .metrics import aggregate, fold_result
 from .model import init_parameters
+from .tensor import ConfigError, NumericError, _blas_threads
 from .train import evaluate_confusion, train
 
 __all__ = ["fit", "fold_seed", "run_fold", "run_loso"]
@@ -60,13 +60,7 @@ def _init_worker(records, model_cfg, train_cfg, workers):
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _worker_env.update(records=records, model_cfg=model_cfg, train_cfg=train_cfg)
-    with open("/proc/self/maps" if os.path.exists("/proc/self/maps") else os.devnull) as f:
-        libs = {line.split()[-1] for line in f if "openblas" in line}     # none off Linux
-    for lib in map(ctypes.CDLL, libs):      # numpy 2's, numpy 1's or a system build's setter
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                     "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                getattr(lib, name)(max(1, len(os.sched_getaffinity(0)) // workers))
+    _blas_threads(max(1, len(os.sched_getaffinity(0)) // workers))
 
 
 def _run_one(job):
@@ -77,21 +71,34 @@ def _run_one(job):
     return result
 
 
+def _in_fold(fold_id, where, get):
+    """get(), with an error of a fold's own making raised again as its own type,
+    its message led by the fold it came from."""
+    try:
+        return get()
+    except (ConfigError, DataError, NumericError, MemoryError) as e:
+        raise type(e)(f"held-out subject {fold_id}, {where}: {e}") from e
+
+
 def run_loso(records, model_cfg, train_cfg, task=None, jobs=1, config_id=""):
     """All LOSO folds (optionally filtered to one task); returns (folds, summary).
 
     Folds run in min(jobs, folds) worker processes, or in this process when
-    that is 1 or less.
+    that is 1 or less. A fold's error names the fold; at any jobs count it is
+    the error of the first fold, by fold id, that failed.
     """
     if task is not None and isinstance(task, str):
         task = Task.from_name(task)
     splits = loso_splits(records, task)
+    where = f"task {'all' if task is None else Task.names[task]}" + (
+        f", config {config_id}" if config_id else "")
 
     ids = [int(records.subject_id[test[0]]) for _, test in splits]
     jobs_list = [(fid, tr, te) for fid, (tr, te) in zip(ids, splits)]
     workers = min(jobs, len(jobs_list))
     if workers <= 1:
-        results = [run_fold(records, tr, te, model_cfg, train_cfg, fid)[0]
+        results = [_in_fold(fid, where,
+                            lambda: run_fold(records, tr, te, model_cfg, train_cfg, fid)[0])
                    for fid, tr, te in jobs_list]
     else:
         with ProcessPoolExecutor(workers, initializer=_init_worker,
@@ -99,7 +106,7 @@ def run_loso(records, model_cfg, train_cfg, task=None, jobs=1, config_id=""):
             others = set(multiprocessing.active_children())
             futures = [ex.submit(_run_one, job) for job in jobs_list]
             try:
-                results = [f.result() for f in futures]
+                results = [_in_fold(fid, where, f.result) for fid, f in zip(ids, futures)]
             except BaseException as e:  # a failed fold or an interrupt: stop the running folds
                 for worker in set(multiprocessing.active_children()) - others:
                     worker.terminate()

@@ -364,8 +364,10 @@ class OneBlockTransformer:
         block reads it with the shared position features. An eval forward keeps no
         graph, and runs a batch as the fewest chunks, of sizes that differ by at most
         one window, whose widest op (eval_live_bytes) fits in EVAL_CHUNK_BYTES; a
-        window wider than that is a chunk of its own. A backward through its logits
-        runs each chunk again with a graph, one chunk at a time (tensor._replayed).
+        window wider than that is a chunk of its own. The chunks run on as many
+        threads as numpy's OpenBLAS may use, up to the usable CPUs; they depend
+        only on the batch, never on the threads. A backward through its logits runs
+        each chunk again with a graph, one chunk at a time (tensor._replayed).
         """
         cfg, lat = self.cfg, self.latents
         x = _check_window(x, cfg, "forward")
@@ -383,8 +385,9 @@ class OneBlockTransformer:
         return _replayed([functools.partial(run, x[s]) for s in spans])
 
 
-# the widest op of one chunk of an eval forward's batch fits in this many bytes
-EVAL_CHUNK_BYTES = 8 << 20
+# the widest op of one chunk of an eval forward's batch fits in this many bytes; the T
+# chunks in flight at once (tensor._run_all) hold up to T times as much
+EVAL_CHUNK_BYTES = 4 << 20
 
 
 def eval_live_bytes(cfg, batch, itemsize):

@@ -15,19 +15,22 @@ Float32 is the working precision; pass float64 arrays in (e.g. for finite
 difference checks) and every op stays in 64-bit.
 
 The model's eval forward records no graph (_replayed); a backward through its
-result runs it again with one.
+result runs it again with one. Its chunks run on as many threads as numpy's
+OpenBLAS may use, with OpenBLAS itself at one thread meanwhile.
 
 On glibc, importing this module makes malloc keep freed memory resident. Else
 the pages a step's graph or a graph-free forward's ops free would fault in again:
 ~190k minor faults per table1 blocks=8 step at batch 32, ~95k per eval batch of 64.
 """
 
+import contextvars
 import ctypes
 import dataclasses
 import math
 import os
 import platform
 import sys
+import threading
 import typing
 
 import numpy as np
@@ -113,16 +116,20 @@ def check_field_types(cls, d, what, error=ConfigError):
 
 
 def write_atomic(path, data):
-    """Write bytes, or a list of bytes-like chunks, to `<path>.tmp` and rename it over
-    path: a write that fails leaves path as it was and no temp file. The one
-    writer of every file the package makes."""
-    tmp = f"{os.fspath(path)}.tmp"
+    """Write bytes, or a list of bytes-like chunks, to `<path>.<pid>.<thread id>.tmp`
+    and rename it over path: a write that fails leaves path as it was and no temp
+    file. The temp name is the writer's own, so two writers of one path never
+    rename each other's. The one writer of every file the package makes."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
+    made = False
     try:
-        with open(tmp, "wb") as f:
+        with open(tmp, "xb") as f:
+            made = True
             f.writelines(data if isinstance(data, list) else [data])
         os.replace(tmp, path)
+        made = False
     finally:
-        if os.path.exists(tmp):
+        if made:
             os.remove(tmp)
 
 
@@ -722,18 +729,80 @@ def _backward_from(root, seed):
                 local[id(inp)] = gi
 
 
+_openblas = None     # [(get, set)] thread-count functions of numpy's OpenBLAS, found on first use
+
+
+def _blas_threads(n=None):
+    """Numpy's OpenBLAS thread count, after setting it to n when n is given; 1 where
+    numpy's BLAS is not an OpenBLAS mapped into this process."""
+    global _openblas
+    if _openblas is None:
+        with open("/proc/self/maps" if os.path.exists("/proc/self/maps") else os.devnull) as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line})  # none off Linux
+        _openblas = []
+        for lib in map(ctypes.CDLL, libs):      # numpy 2's, numpy 1's or a system build's
+            for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
+                         "openblas_%s_num_threads"):
+                if hasattr(lib, name % "get"):
+                    get, put = getattr(lib, name % "get"), getattr(lib, name % "set")
+                    get.argtypes, get.restype = (), ctypes.c_int
+                    put.argtypes, put.restype = (ctypes.c_int,), None
+                    _openblas.append((get, put))
+    for _, put in _openblas if n is not None else ():
+        put(n)
+    return min((get() for get, _ in _openblas), default=1)
+
+
+def _run_all(fns):
+    """[fn().data for fn in fns] on T = min(numpy's OpenBLAS threads, usable CPUs,
+    len(fns)) threads: this one and T - 1 made for the call and joined before it
+    returns, each running every T-th fn in a copy of the caller's context, where
+    numpy's errstate lives. OpenBLAS runs one thread meanwhile, so that the callers'
+    GEMMs do not oversubscribe the CPUs. Raises what the first fn that raised did."""
+    blas = _blas_threads()
+    t = min(len(fns), blas, len(os.sched_getaffinity(0))) if blas > 1 else 1    # > 1 on Linux only
+    if t <= 1:
+        return [fn().data for fn in fns]
+    out, errors = [None] * len(fns), {}
+
+    def run(first):
+        for i in range(first, len(fns), t):
+            try:
+                out[i] = fns[i]().data
+            except BaseException as e:      # raised in the caller's thread below
+                errors[i] = e
+                return
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, j))
+               for j in range(1, t)]
+    _blas_threads(1)
+    try:
+        for th in threads:
+            th.start()
+        run(0)
+    finally:
+        for th in threads:
+            if th.ident is not None:
+                th.join()
+        _blas_threads(blas)
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
 def _replayed(fns):
-    """The outputs of fns, each run with no graph, joined along axis 0 as a Tensor
-    whose node has no inputs. Its backward runs each fn again with the graph, one
-    at a time, and passes that output's rows of the gradient on through it, so only
-    a backward holds a graph, and one fn's at most. Each second run must give the
-    first's output bit for bit, or a weight or an input has changed in between: the
-    RuntimeError leaves the gradients of the fns before it accumulated. The flag is
-    the process's: an op another thread runs meanwhile records no graph either."""
+    """The outputs of fns, each run with no graph (on several threads, _run_all),
+    joined along axis 0 as a Tensor whose node has no inputs. Its backward runs
+    each fn again with the graph, one at a time, and passes that output's rows of
+    the gradient on through it, so only a backward holds a graph, and one fn's at
+    most. Each second run must give the first's output bit for bit, or a weight or
+    an input has changed in between: the RuntimeError leaves the gradients of the
+    fns before it accumulated. The flag is the process's: an op another thread
+    runs meanwhile records no graph either."""
     global _graph
     graph, _graph = _graph, False
     try:
-        saved = [fn().data for fn in fns]
+        saved = _run_all(fns)
     finally:
         _graph = graph
 

@@ -2,7 +2,6 @@
 published cost table through the user-facing entry point."""
 
 import contextlib
-import ctypes
 import json
 import os
 import re
@@ -21,10 +20,11 @@ import pytest
 from onebt.checkpoint import load_arrays, load_model, save_arrays, save_model
 import onebt.cli
 import onebt.harness
+import onebt.tensor
 from onebt.cli import main, RunSpec, ERRORS
 from onebt.data import DataError, load_dataset
 from onebt.model import init_parameters
-from onebt.tensor import ConfigError, write_atomic
+from onebt.tensor import ConfigError, _blas_threads, write_atomic
 from conftest import disk_full, killed_after, tiny_config
 from reference_tables import PUBLISHED
 
@@ -215,9 +215,9 @@ def test_model_too_large_for_memory_exits_config(dataset, tmp_path, capsys, comm
 def test_diverged_training_exits_numeric_without_out_dir(dataset, tmp_path, command):
     """A learning rate that overflows the weights in one step exits 6 with one
     line on stderr, raised by the optimizer update itself (no numpy warning
-    comes first), and leaves no --out, also when the step runs in a fold
-    worker. A subprocess, so the warnings tier-1 makes errors would show on
-    stderr."""
+    comes first) and naming a fold's subject and task, and leaves no --out,
+    also when the step runs in a fold worker. A subprocess, so the warnings
+    tier-1 makes errors would show on stderr."""
     path = tmp_path / "diverge.json"
     path.write_text(json.dumps({"train": {"lr": 1e300, "batch_size": 64}}))
     out = tmp_path / "out"
@@ -226,7 +226,8 @@ def test_diverged_training_exits_numeric_without_out_dir(dataset, tmp_path, comm
     proc = subprocess.run([sys.executable, "-m", "onebt.cli", *argv], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert proc.returncode == EXIT_CODES["numeric"] == 6, proc.stderr
-    assert "error[numeric]: non-finite weight" in proc.stderr
+    fold = r"held-out subject 0, task \w+(, config \S+)?: " if command != ["train"] else ""
+    assert re.match(rf"error\[numeric\]: {fold}non-finite weight", proc.stderr), proc.stderr
     assert proc.stderr.count("\n") == 1, proc.stderr
     assert not out.exists()
 
@@ -246,6 +247,24 @@ def test_finite_but_huge_weights_exit_numeric_in_one_line(dataset, tmp_path, com
     assert proc.returncode == EXIT_CODES["numeric"] == 6, proc.stderr
     assert proc.stderr.startswith("error[numeric]: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert not out.exists()
+
+
+def test_diverging_loso_names_its_fold_at_any_jobs_count(dataset, tmp_path):
+    """A loso whose weights overflow stops with one error[numeric] line that names
+    the held-out subject and the task of the first fold, alike at --jobs 1 and 2."""
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps({"train": {"lr": 1e30}}))
+    lines = []
+    for jobs in ("1", "2"):
+        argv = ["loso", "--config", str(path), "--data", dataset, "--task", "MATH",
+                "--epochs", "1", "--jobs", jobs, "--out", str(tmp_path / f"out{jobs}")]
+        proc = subprocess.run([sys.executable, "-m", "onebt.cli", *argv], capture_output=True,
+                              text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert proc.returncode == EXIT_CODES["numeric"], proc.stderr
+        lines.append(proc.stderr)
+    assert re.fullmatch(r"error\[numeric\]: held-out subject 0, task MATH: \S.*\n", lines[0]), lines
+    assert lines[1] == lines[0]
 
 
 def test_keyboard_interrupt_exits_interrupted_without_new_out_dir(dataset, tmp_path, capsys,
@@ -554,36 +573,24 @@ def test_loso_jobs_parallel_matches_serial(dataset, tmp_path):
     assert (serial / "summary.json").read_bytes() == (par / "summary.json").read_bytes()
 
 
-BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads")
-
-
-def _mapped_openblas():
-    if not os.path.exists("/proc/self/maps"):
-        return []
-    with open("/proc/self/maps") as f:
-        return sorted({line.split()[-1] for line in f if "openblas" in line})
-
-
-def _blas_threads(_):
-    """(pid, the thread count of each OpenBLAS in this process that reports one)."""
+def _worker_blas_threads(_):
+    """(pid, numpy's OpenBLAS thread count in this process)."""
     time.sleep(0.2)                 # stay busy, so the pool's other worker takes the next job
-    libs = map(ctypes.CDLL, _mapped_openblas())
-    return os.getpid(), [getattr(lib, n)() for lib in libs for n in BLAS_THREAD_GETTERS
-                         if hasattr(lib, n)]
+    return os.getpid(), _blas_threads()
 
 
 def test_fold_workers_split_cpus_for_blas():
     """Each of two fold workers runs numpy's OpenBLAS at usable CPUs // 2
     threads (at least 1), not at the all-core pool it inherits."""
-    if not _mapped_openblas():
-        pytest.skip("no OpenBLAS is mapped into this process")
+    _blas_threads()
+    if not onebt.tensor._openblas:
+        pytest.skip("numpy's BLAS is not an OpenBLAS mapped into this process")
     with ProcessPoolExecutor(max_workers=2, initializer=onebt.harness._init_worker,
                              initargs=(None, None, None, 2)) as ex:
-        seen = dict(ex.map(_blas_threads, range(4)))
+        seen = dict(ex.map(_worker_blas_threads, range(4)))
     assert len(seen) == 2
     want = max(1, len(os.sched_getaffinity(0)) // 2)
-    assert all(counts and set(counts) == {want} for counts in seen.values()), seen
+    assert set(seen.values()) == {want}, seen
 
 
 def _traced_span_names(tmp_path, command):

@@ -1,7 +1,9 @@
 """Tokenizer values, architectural invariances, and init determinism."""
 
+import os
 import platform
 import resource
+import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -14,8 +16,9 @@ from onebt.model import (ModelConfig, Attention, LatentCrossAttention,
                          frequency_bands, position_grid, fourier_encode,
                          tokenize, init_parameters, eval_live_bytes, _eval_chunks,
                          _position_features)
-from onebt.tensor import (Tensor, ShapeError, ConfigError, backward, mean_axis, reshape, add,
-                          cross_entropy_label_smoothed, _backward_from)
+from onebt.tensor import (Tensor, ShapeError, ConfigError, NumericError, backward, mean_axis,
+                          reshape, add, cross_entropy_label_smoothed, _backward_from,
+                          _blas_threads, _replayed)
 from conftest import tiny_config, rel_err, fd_grad
 from test_tensor_ops import grad_of, TOL, _graph_tensors
 
@@ -710,38 +713,114 @@ def test_eval_chunks_are_the_fewest_that_fit_and_differ_by_one(cfg, B):
 
 
 def test_eval_chunks_of_paper_and_table1_batches():
-    """Both the paper default and table1 blocks=8 run a batch of 64 as 32 + 32; a
-    held-out subject of 72 windows runs as 36 + 36."""
+    """table1 blocks=8 runs a batch of 64 as 4 x 16, the paper default as 21 + 21 + 22,
+    and a paper-default held-out subject of 72 windows as 3 x 24."""
     table1 = dict(TABLE_PRESETS["table1"])["blocks=8"]
     assert eval_live_bytes(table1, 1, 4) == 240 * 1024
-    for cfg in (ModelConfig(), table1):
-        assert _eval_chunks(cfg, 64, 4) == [slice(0, 32), slice(32, 64)]
-    assert _eval_chunks(ModelConfig(), 72, 4) == [slice(0, 36), slice(36, 72)]
+    assert _eval_chunks(table1, 64, 4) == [slice(0, 16), slice(16, 32), slice(32, 48),
+                                           slice(48, 64)]
+    assert _eval_chunks(ModelConfig(), 64, 4) == [slice(0, 21), slice(21, 42), slice(42, 64)]
+    assert _eval_chunks(ModelConfig(), 72, 4) == [slice(0, 24), slice(24, 48), slice(48, 72)]
 
 
 def test_chunked_eval_forward_matches_separate_forwards(rng):
     """A batch of three uneven chunks gives the logits of one forward per chunk,
     byte for byte."""
     cfg = _blocks2_config()
-    spans = _eval_chunks(cfg, 80, 4)
-    assert [s.stop - s.start for s in spans] == [26, 27, 27]
+    spans = _eval_chunks(cfg, 50, 4)
+    assert [s.stop - s.start for s in spans] == [16, 17, 17]
     model = init_parameters(cfg, seed=2)
-    x = _windows(rng, cfg, 80)
+    x = _windows(rng, cfg, 50)
     logits = model.forward(x).data
     parts = np.concatenate([model.forward(x[s]).data for s in spans])
     assert logits.tobytes() == parts.tobytes()
 
 
+@pytest.fixture
+def eval_threads():
+    """force(n) sets numpy's OpenBLAS to n threads, so that an eval forward of two or
+    more chunks runs them on min(n, usable CPUs, chunks) threads; the count is
+    restored after the test. Skips where that cannot reach n."""
+    before = _blas_threads()
+
+    def force(n):
+        if _blas_threads(n) != n or len(os.sched_getaffinity(0)) < n:
+            pytest.skip(f"{n} eval threads need numpy's OpenBLAS and {n} usable CPUs")
+
+    yield force
+    _blas_threads(before)
+
+
 @pytest.mark.parametrize("B", [80, 200])
-def test_chunked_eval_forward_peaks_within_one_chunk(rng, B):
-    """However large the batch, the traced peak of its eval forward stays within the
-    bound of its largest chunk, which is below the bound of the unchunked batch."""
+def test_chunked_eval_forward_peaks_within_one_chunk(rng, eval_threads, B):
+    """However large the batch, the traced peak of its eval forward on two threads
+    stays within two of its largest chunk's bound, which is below the bound of the
+    unchunked batch."""
     cfg = _blocks2_config()
+    eval_threads(2)
     widest = max(s.stop - s.start for s in _eval_chunks(cfg, B, 4))
-    assert widest < B
+    assert 2 * widest < B
     peak = _traced_eval_peak(init_parameters(cfg, seed=2), _windows(rng, cfg, B))
-    bound = _chunk_bound(cfg, widest)
+    bound = 2 * _chunk_bound(cfg, widest)
     assert peak <= bound, f"peak {peak} bytes, bound {bound}"
+
+
+@pytest.mark.parametrize("B", [1, 2, 17, 33, 64, 65])
+@pytest.mark.parametrize("cfg", [ModelConfig(), dict(TABLE_PRESETS["table1"])["blocks=8"]],
+                         ids=["paper", "table1_blocks8"])
+def test_threaded_eval_logits_equal_serial(rng, eval_threads, cfg, B):
+    """Logits are byte-equal on one thread and on two, and the forward leaves no
+    thread behind."""
+    model, x = init_parameters(cfg, seed=3), _windows(rng, cfg, B)
+    baseline = threading.active_count()
+    logits = []
+    for n in (1, 2):
+        eval_threads(n)
+        logits.append(model.forward(x).data.tobytes())
+        assert _blas_threads() == n and threading.active_count() == baseline
+    assert logits[0] == logits[1]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_eval_chunks_run_on_blas_threads_with_blas_at_one(eval_threads, n, fails):
+    """Four chunks run on n threads, the caller's among them, each seeing OpenBLAS at
+    one thread; whether the call returns or raises, OpenBLAS is back at n threads
+    and no thread it made is left. A failing chunk's error is raised."""
+    eval_threads(n)
+    baseline = threading.active_count()
+    seen = []
+
+    def chunk(i):
+        def fn():
+            seen.append((threading.get_ident(), _blas_threads()))
+            if fails and i == 1:
+                raise NumericError("chunk 1")
+            return Tensor(np.full((1, 2), i, np.float32))
+        return fn
+
+    if fails:
+        with pytest.raises(NumericError, match="chunk 1"):
+            _replayed([chunk(i) for i in range(4)])
+    else:
+        out = _replayed([chunk(i) for i in range(4)])
+        np.testing.assert_array_equal(out.data[:, 0], [0, 1, 2, 3])
+    assert threading.get_ident() in {ident for ident, _ in seen}
+    assert len({ident for ident, _ in seen}) == n
+    assert {count for _, count in seen} == {1}
+    assert _blas_threads() == n and threading.active_count() == baseline
+
+
+def test_threaded_eval_raises_overflow_of_its_second_chunk(rng, monkeypatch, eval_threads):
+    """A window whose cast to the model's width overflows, in the second of three
+    chunks on two threads, raises under the caller's np.errstate, as on one thread."""
+    model = _chunked_replay_model(monkeypatch, np.float32)
+    x = _windows(rng, model.cfg, 8, np.float64)
+    x[3] = 1e300
+    eval_threads(2)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        model.forward(x)
+    assert _blas_threads() == 2
 
 
 def _chunked_replay_model(monkeypatch, dtype):
@@ -769,6 +848,22 @@ def test_backward_through_chunked_eval_forward_sums_chunk_gradients(rng, monkeyp
     assert all(g is not None for g in chunked)
     for a, p in zip(chunked, model.parameters(), strict=True):
         np.testing.assert_array_equal(a, p.grad)
+
+
+def test_backward_through_threaded_eval_forward_matches_one_thread(rng, monkeypatch,
+                                                                  eval_threads):
+    """Gradients through a chunked eval forward run on two threads equal those
+    through one run on one thread, bit for bit."""
+    model = _chunked_replay_model(monkeypatch, np.float64)
+    x = _windows(rng, model.cfg, 8, np.float64)
+    seed = rng.standard_normal((8, model.cfg.num_classes))
+    grads = []
+    for n in (1, 2):
+        eval_threads(n)
+        model.zero_grad()
+        _backward_from(model.forward(x), seed)
+        grads.append([p.grad.tobytes() for p in model.parameters()])
+    assert grads[0] == grads[1]
 
 
 def test_backward_through_chunked_eval_forward_holds_one_chunk_graph(rng, monkeypatch):

@@ -2,6 +2,8 @@
 
 import ast
 import os
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,38 @@ def test_failed_write_leaves_target_as_it_was(tmp_path, existed):
         write_atomic(str(path), [b"new ", b"contents"])
     assert os.listdir(tmp_path) == (["f"] if existed else [])
     assert not existed or path.read_bytes() == b"old contents"
+
+
+def test_two_writers_of_one_path_keep_their_own_temp_files(tmp_path):
+    """Two threads each write one path 200 times, switching often: no write fails,
+    the file ends whole as one writer's bytes, and no temp file is left."""
+    path = tmp_path / "f"
+    payloads = [bytes([i]) * (1 << 16) for i in (1, 2)]
+    errors = []
+    together = threading.Barrier(2)
+
+    def writer(data):
+        together.wait(timeout=60)
+        try:
+            for _ in range(200):
+                write_atomic(path, data)
+        except OSError as e:
+            errors.append(e)
+
+    threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert path.read_bytes() in payloads
+    assert os.listdir(tmp_path) == ["f"]
 
 
 def _file_writes(path):

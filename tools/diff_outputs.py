@@ -6,12 +6,15 @@ OTHER_SRC is the `src` directory of another checkout (say, the parent commit
 from `git archive`). Each side runs gen-data, train, loso and sweep (each at
 --jobs 1 and 2) and cost with the same arguments and relative paths, in its own
 directory under WORK_DIR (a new temporary directory by default). Each side
-also runs three loso commands that must fail: one refused before it starts,
+also runs a paper-default loso (both --jobs counts) on a set of 72 windows per
+subject, whose eval forwards run in several chunks, and three loso commands
+that must fail: one refused before it starts,
 one whose weights overflow after its --out is made, and one whose weights stay
 finite but overflow the forward after them. Prints each differing file, with
 the largest absolute difference among the numeric fields of a .json or .jsonl
-file present on both sides, and each failing run whose exit code, stderr or
-leftover --out differs; exits 1 if anything differs.
+file present on both sides; each file but run.meta and config.json that differs between two
+runs of one side that differ only in --jobs; and each failing run whose exit
+code, stderr or leftover --out differs. Exits 1 if anything differs.
 """
 
 import json
@@ -37,7 +40,12 @@ COMMANDS = [
     ["sweep", "--preset", "table4", "--data", "d.eeg", "--epochs", "1", "--jobs", "2",
      "--out", "sweep2"],
     ["cost", "--out", "cost"],
+    ["gen-data", "--subjects", "3", "--per-level", "12", "--seed", "3", "--out", "p.eeg"],
+    ["loso", "--data", "p.eeg", "--epochs", "1", "--out", "paper"],
+    ["loso", "--data", "p.eeg", "--epochs", "1", "--jobs", "2", "--out", "paper2"],
 ]
+# --out of runs that differ only in --jobs; all they write but run.meta and config.json match
+SAME_BUT_JOBS = [("paper", "paper2"), ("sweep", "sweep2")]
 FAILING = [        # the last argument of each is its --out
     ["loso", "--data", "d.eeg", "--config", "spec.json", "--jobs", "0", "--out", "refused"],
     ["loso", "--data", "d.eeg", "--config", "diverge.json", "--out", "diverged"],
@@ -98,6 +106,14 @@ def main(argv):
     for name in differ:
         moved = name in here and name in there and largest_difference(name, here[name], there[name])
         print(f"differs: {name}" + (f"  max |diff| {moved[0]:.3g} at {moved[1]}" if moved else ""))
+    jobs_differ = [f"{side}: {a}/{name} and {b}/{name}"
+                   for side, files in (("here", here), ("other", there))
+                   for a, b in SAME_BUT_JOBS
+                   for name in sorted({n.split("/", 1)[1] for n in files if n.split("/", 1)[0]
+                                       in (a, b)} - {"run.meta", "config.json"})
+                   if files.get(f"{a}/{name}") != files.get(f"{b}/{name}")]
+    for pair in jobs_differ:
+        print(f"differs across --jobs: {pair}")
     fail_differ = [run for run in here_failed if here_failed[run] != there_failed[run]]
     for run in fail_differ:
         print(f"fails differently: onebt {run}\n  here:  {here_failed[run]}\n"
@@ -105,7 +121,7 @@ def main(argv):
     print(f"{len(here.keys() | there.keys()) - len(differ)} identical, {len(differ)} differ; "
           f"{len(FAILING) - len(fail_differ)} failing runs alike, {len(fail_differ)} differ; "
           f"in {work}")
-    return 1 if differ or fail_differ else 0
+    return 1 if differ or jobs_differ or fail_differ else 0
 
 
 if __name__ == "__main__":
