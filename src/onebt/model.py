@@ -365,9 +365,10 @@ class OneBlockTransformer:
         graph, and runs a batch as the fewest chunks, of sizes that differ by at most
         one window, whose widest op (eval_live_bytes) fits in EVAL_CHUNK_BYTES; a
         window wider than that is a chunk of its own. The chunks run on as many
-        threads as numpy's OpenBLAS may use, up to the usable CPUs; they depend
-        only on the batch, never on the threads. A backward through its logits runs
-        each chunk again with a graph, one chunk at a time (tensor._replayed).
+        threads as numpy's OpenBLAS may use, up to the usable CPUs and to as many
+        chunks as fit in EVAL_LIVE_BYTES; they depend only on the batch, never on
+        the threads. A backward through its logits runs each chunk again with a
+        graph, one chunk at a time (tensor._replayed).
         """
         cfg, lat = self.cfg, self.latents
         x = _check_window(x, cfg, "forward")
@@ -382,12 +383,14 @@ class OneBlockTransformer:
         if training:
             return run(x)
         spans = [slice(None)] if x.ndim == 2 else _eval_chunks(cfg, len(x), lat.dtype.itemsize)
-        return _replayed([functools.partial(run, x[s]) for s in spans])
+        return _replayed([functools.partial(run, x[s]) for s in spans],
+                         EVAL_LIVE_BYTES // EVAL_CHUNK_BYTES)
 
 
-# the widest op of one chunk of an eval forward's batch fits in this many bytes; the T
-# chunks in flight at once (tensor._run_all) hold up to T times as much
-EVAL_CHUNK_BYTES = 4 << 20
+# the widest ops of the chunks an eval forward runs at once fit in EVAL_LIVE_BYTES, and
+# that of one chunk of its batch in EVAL_CHUNK_BYTES: two chunks at once at most
+EVAL_LIVE_BYTES = 8 << 20
+EVAL_CHUNK_BYTES = EVAL_LIVE_BYTES // 2
 
 
 def eval_live_bytes(cfg, batch, itemsize):

@@ -23,7 +23,6 @@ the pages a step's graph or a graph-free forward's ops free would fault in again
 ~190k minor faults per table1 blocks=8 step at batch 32, ~95k per eval batch of 64.
 """
 
-import contextvars
 import ctypes
 import dataclasses
 import math
@@ -121,15 +120,12 @@ def write_atomic(path, data):
     file. The temp name is the writer's own, so two writers of one path never
     rename each other's. The one writer of every file the package makes."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
-    made = False
     try:
-        with open(tmp, "xb") as f:
-            made = True
+        with open(tmp, "wb") as f:
             f.writelines(data if isinstance(data, list) else [data])
         os.replace(tmp, path)
-        made = False
     finally:
-        if made:
+        if os.path.exists(tmp):
             os.remove(tmp)
 
 
@@ -753,28 +749,29 @@ def _blas_threads(n=None):
     return min((get() for get, _ in _openblas), default=1)
 
 
-def _run_all(fns):
-    """[fn().data for fn in fns] on T = min(numpy's OpenBLAS threads, usable CPUs,
-    len(fns)) threads: this one and T - 1 made for the call and joined before it
-    returns, each running every T-th fn in a copy of the caller's context, where
-    numpy's errstate lives. OpenBLAS runs one thread meanwhile, so that the callers'
-    GEMMs do not oversubscribe the CPUs. Raises what the first fn that raised did."""
+def _run_all(fns, most):
+    """[fn().data for fn in fns] on T = min(most, numpy's OpenBLAS threads, usable
+    CPUs, len(fns)) threads: this one and T - 1 made for the call and joined before
+    it returns, each running every T-th fn under the caller's np.errstate (numpy 1
+    keeps it per thread, numpy 2 per context; a new thread starts at the default).
+    OpenBLAS runs one thread meanwhile, so that the callers' GEMMs do not
+    oversubscribe the CPUs. Raises what the first fn that raised did."""
     blas = _blas_threads()
-    t = min(len(fns), blas, len(os.sched_getaffinity(0))) if blas > 1 else 1    # > 1 on Linux only
+    t = min(len(fns), most, blas, len(os.sched_getaffinity(0))) if blas > 1 else 1  # Linux only
     if t <= 1:
         return [fn().data for fn in fns]
-    out, errors = [None] * len(fns), {}
+    out, errors, err = [None] * len(fns), {}, np.geterr()
 
     def run(first):
-        for i in range(first, len(fns), t):
-            try:
-                out[i] = fns[i]().data
-            except BaseException as e:      # raised in the caller's thread below
-                errors[i] = e
-                return
+        with np.errstate(**err):
+            for i in range(first, len(fns), t):
+                try:
+                    out[i] = fns[i]().data
+                except BaseException as e:      # raised in the caller's thread below
+                    errors[i] = e
+                    return
 
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, j))
-               for j in range(1, t)]
+    threads = [threading.Thread(target=run, args=(j,)) for j in range(1, t)]
     _blas_threads(1)
     try:
         for th in threads:
@@ -790,8 +787,8 @@ def _run_all(fns):
     return out
 
 
-def _replayed(fns):
-    """The outputs of fns, each run with no graph (on several threads, _run_all),
+def _replayed(fns, threads=1):
+    """The outputs of fns, each run with no graph (on up to `threads` threads, _run_all),
     joined along axis 0 as a Tensor whose node has no inputs. Its backward runs
     each fn again with the graph, one at a time, and passes that output's rows of
     the gradient on through it, so only a backward holds a graph, and one fn's at
@@ -802,7 +799,7 @@ def _replayed(fns):
     global _graph
     graph, _graph = _graph, False
     try:
-        saved = _run_all(fns)
+        saved = _run_all(fns, threads)
     finally:
         _graph = graph
 

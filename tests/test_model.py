@@ -737,15 +737,18 @@ def test_chunked_eval_forward_matches_separate_forwards(rng):
 
 
 @pytest.fixture
-def eval_threads():
-    """force(n) sets numpy's OpenBLAS to n threads, so that an eval forward of two or
-    more chunks runs them on min(n, usable CPUs, chunks) threads; the count is
-    restored after the test. Skips where that cannot reach n."""
+def eval_threads(monkeypatch):
+    """force(n) sets numpy's OpenBLAS to n threads, and makes n CPUs usable where fewer
+    are, so that an eval forward of two or more chunks runs them on min(n, its cap,
+    chunks) threads; the count is restored after the test. Skips where numpy's BLAS
+    is not an OpenBLAS."""
     before = _blas_threads()
 
     def force(n):
-        if _blas_threads(n) != n or len(os.sched_getaffinity(0)) < n:
-            pytest.skip(f"{n} eval threads need numpy's OpenBLAS and {n} usable CPUs")
+        if _blas_threads(n) != n:
+            pytest.skip(f"{n} eval threads need numpy's OpenBLAS")
+        if len(os.sched_getaffinity(0)) < n:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
     yield force
     _blas_threads(before)
@@ -753,16 +756,20 @@ def eval_threads():
 
 @pytest.mark.parametrize("B", [80, 200])
 def test_chunked_eval_forward_peaks_within_one_chunk(rng, eval_threads, B):
-    """However large the batch, the traced peak of its eval forward on two threads
-    stays within two of its largest chunk's bound, which is below the bound of the
-    unchunked batch."""
+    """However large the batch, and at 2 or 4 BLAS threads, the traced peak of its
+    eval forward stays within two of its largest chunk's bound (the chunks that fit
+    in EVAL_LIVE_BYTES), which is below the bound of the unchunked batch."""
     cfg = _blocks2_config()
-    eval_threads(2)
-    widest = max(s.stop - s.start for s in _eval_chunks(cfg, B, 4))
-    assert 2 * widest < B
-    peak = _traced_eval_peak(init_parameters(cfg, seed=2), _windows(rng, cfg, B))
+    spans = _eval_chunks(cfg, B, 4)
+    widest = max(s.stop - s.start for s in spans)
+    assert onebt.model.EVAL_LIVE_BYTES // onebt.model.EVAL_CHUNK_BYTES == 2
+    assert len(spans) >= 4 and 2 * widest < B
+    model, x = init_parameters(cfg, seed=2), _windows(rng, cfg, B)
     bound = 2 * _chunk_bound(cfg, widest)
-    assert peak <= bound, f"peak {peak} bytes, bound {bound}"
+    for n in (2, 4):
+        eval_threads(n)
+        peak = _traced_eval_peak(model, x)
+        assert peak <= bound, f"{n} BLAS threads: peak {peak} bytes, bound {bound}"
 
 
 @pytest.mark.parametrize("B", [1, 2, 17, 33, 64, 65])
@@ -781,19 +788,20 @@ def test_threaded_eval_logits_equal_serial(rng, eval_threads, cfg, B):
     assert logits[0] == logits[1]
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 4])
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
 def test_eval_chunks_run_on_blas_threads_with_blas_at_one(eval_threads, n, fails):
-    """Four chunks run on n threads, the caller's among them, each seeing OpenBLAS at
-    one thread; whether the call returns or raises, OpenBLAS is back at n threads
-    and no thread it made is left. A failing chunk's error is raised."""
+    """Four chunks with a cap of two threads run on min(n, 2) threads, the caller's
+    among them, each seeing OpenBLAS at one thread; whether the call returns or
+    raises, OpenBLAS is back at n threads and no thread it made is left. A failing
+    chunk's error is raised."""
     eval_threads(n)
     baseline = threading.active_count()
     seen = []
 
     def chunk(i):
         def fn():
-            seen.append((threading.get_ident(), _blas_threads()))
+            seen.append((threading.current_thread(), _blas_threads()))
             if fails and i == 1:
                 raise NumericError("chunk 1")
             return Tensor(np.full((1, 2), i, np.float32))
@@ -801,12 +809,12 @@ def test_eval_chunks_run_on_blas_threads_with_blas_at_one(eval_threads, n, fails
 
     if fails:
         with pytest.raises(NumericError, match="chunk 1"):
-            _replayed([chunk(i) for i in range(4)])
+            _replayed([chunk(i) for i in range(4)], 2)
     else:
-        out = _replayed([chunk(i) for i in range(4)])
+        out = _replayed([chunk(i) for i in range(4)], 2)
         np.testing.assert_array_equal(out.data[:, 0], [0, 1, 2, 3])
-    assert threading.get_ident() in {ident for ident, _ in seen}
-    assert len({ident for ident, _ in seen}) == n
+    assert threading.current_thread() in {thread for thread, _ in seen}
+    assert len({thread for thread, _ in seen}) == min(n, 2)
     assert {count for _, count in seen} == {1}
     assert _blas_threads() == n and threading.active_count() == baseline
 
